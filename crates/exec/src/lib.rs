@@ -15,10 +15,12 @@
 //!   (shed or defer low-weight queries; admitted sets provably fit the
 //!   per-tick budget);
 //! * [`serve`] — the [`ServeLoop`]: multiplexes a planned workload over
-//!   the arrivals, executes admitted queries on one shared-memory
-//!   scheduler tick, estimates per-leaf hit rates from the execution
-//!   trace, and re-plans queries whose observed rates drift beyond a
-//!   [`DriftConfig`] tolerance.
+//!   the arrivals, executes the admitted queries through one
+//!   `Scheduler::run_tick` call per tick, feeds each evaluation's slice
+//!   of the tick's trace to its [`DriftState`], and re-plans queries
+//!   whose observed rates drift beyond a [`DriftConfig`] tolerance. The
+//!   `paotr_serverd` daemon runs its ticks through the same call and
+//!   the same drift step.
 //!
 //! ## Quick start
 //!

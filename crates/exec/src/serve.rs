@@ -4,29 +4,30 @@
 //!
 //! Each tick the loop (1) polls every query's [`ArrivalProcess`],
 //! (2) hands the due set to the [`AdmissionPolicy`], (3) executes the
-//! admitted queries on the unified runtime (`stream_sim::runtime`
-//! [`Scheduler`] + [`EnergyMeter`] — the same scheduler the simulator
-//! and the single-query engine run on, so served energies are directly
-//! comparable to simulated and predicted ones), and (4) feeds the
-//! execution trace into per-leaf hit-rate estimators. When a query's
-//! observed rates diverge from its calibrated probabilities beyond the
-//! [`DriftConfig`] tolerance, the query is re-planned through the
-//! [`Engine`]'s cached planning path against a re-calibrated skeleton.
+//! admitted queries with one [`Scheduler::run_tick`] call on the
+//! unified runtime (`stream_sim::runtime` — the same scheduler the
+//! simulator and the single-query engine run on, so served energies
+//! are directly comparable to simulated and predicted ones), and (4)
+//! feeds each evaluation's slice of the tick's trace into its
+//! [`DriftState`]. When a query's observed rates diverge from its
+//! calibrated probabilities beyond the [`DriftConfig`] tolerance, the
+//! query is re-planned through the [`Engine`]'s cached planning path
+//! against a re-calibrated skeleton.
 
 use crate::admission::{AdmissionCtx, AdmissionPolicy};
 use crate::arrivals::{ArrivalProcess, ArrivalSpec};
-use paotr_core::error::{Error, Result};
+use paotr_core::error::Result;
 use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
-use paotr_multi::{outage_catalog, synthesize, JointPlan, Workload};
+use paotr_multi::{extract_schedule, outage_catalog, synthesize, JointPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use stream_sim::{
-    gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, MemoryPolicy,
-    Scheduler, SimQuery, TraceLog, Verdict,
+    gaussian_streams, ArrangeConfig, ArrangementStore, EnergyMeter, EnergyModel, LeafRecord,
+    MemoryPolicy, Scheduler, SimQuery, TraceLog, Verdict,
 };
 
 /// Cost multiplier applied to dead streams during outage re-planning:
@@ -280,40 +281,28 @@ impl DriftState {
         }
     }
 
-    /// Records one leaf evaluation.
-    pub fn observe(&mut self, leaf: paotr_core::leaf::LeafRef, value: bool) {
-        let i = self.offsets[leaf.term] + leaf.leaf;
-        self.totals[i] += 1;
-        self.successes[i] += u64::from(value);
-    }
-
-    /// True when any sufficiently-observed leaf drifted past the
-    /// tolerance.
-    pub fn drifted(&self, cfg: &DriftConfig) -> bool {
-        self.calibrated
+    /// The drift step: counts one evaluation's live leaf records and,
+    /// when any sufficiently-observed leaf's success rate has moved past
+    /// the tolerance, returns the re-calibrated probabilities (observed
+    /// rates where trusted, the old calibration elsewhere). The caller
+    /// re-plans against them and adopts them with
+    /// [`DriftState::reset_to`].
+    pub fn absorb(&mut self, records: &[LeafRecord], cfg: &DriftConfig) -> Option<Vec<f64>> {
+        for r in records {
+            let i = self.offsets[r.leaf.term] + r.leaf.leaf;
+            self.totals[i] += 1;
+            self.successes[i] += u64::from(r.value);
+        }
+        let rates = self
+            .calibrated
             .iter()
             .zip(&self.successes)
             .zip(&self.totals)
-            .any(|((&p, &s), &n)| {
-                n >= cfg.min_samples && (s as f64 / n as f64 - p).abs() > cfg.tolerance
-            })
-    }
-
-    /// The re-calibrated probabilities: observed rates where trusted,
-    /// the old calibration elsewhere.
-    pub fn recalibrated(&self, cfg: &DriftConfig) -> Vec<f64> {
-        self.calibrated
-            .iter()
-            .zip(&self.successes)
-            .zip(&self.totals)
-            .map(|((&p, &s), &n)| {
-                if n >= cfg.min_samples {
-                    s as f64 / n as f64
-                } else {
-                    p
-                }
-            })
-            .collect()
+            .map(|((&p, &s), &n)| (p, (n >= cfg.min_samples).then(|| s as f64 / n as f64)));
+        let drifted = rates
+            .clone()
+            .any(|(p, rate)| rate.is_some_and(|r| (r - p).abs() > cfg.tolerance));
+        drifted.then(|| rates.map(|(p, rate)| rate.unwrap_or(p)).collect())
     }
 
     /// Adopts a new calibration and restarts the estimators.
@@ -368,6 +357,7 @@ impl DriftState {
 #[derive(Debug, Clone)]
 pub struct ServeLoop {
     queries: Vec<SimQuery>,
+    names: Vec<String>,
     schedules: Vec<Arc<DnfSchedule>>,
     order: Vec<usize>,
     shared: bool,
@@ -419,6 +409,7 @@ impl ServeLoop {
             .collect();
         ServeLoop {
             queries,
+            names: workload.queries().iter().map(|q| q.name.clone()).collect(),
             schedules: joint.schedules.clone(),
             order: joint.order.clone(),
             shared: joint.shared_execution,
@@ -485,11 +476,7 @@ impl ServeLoop {
         let fault_plan = FaultPlan::new(fault_spec);
         let faults_on = self.config.faults.is_some();
         scheduler.set_fault_policy(fault_spec.max_attempts.max(1), fault_spec.stale_serve);
-        let retry_factor = if faults_on {
-            f64::from(fault_spec.max_attempts.max(1))
-        } else {
-            1.0
-        };
+        let retry_factor = f64::from(fault_spec.max_attempts.max(1));
         // Outage signature of the previous tick, and the catalog the
         // planners currently see (dead streams penalized during an
         // outage so re-plans pull them last).
@@ -551,13 +538,7 @@ impl ServeLoop {
                         let probs = drift[q].calibrated().to_vec();
                         let tree = self.queries[q].skeleton(&probs);
                         let plan = engine.plan(&tree, &live_catalog)?;
-                        let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
-                            Error::InvalidWorkload(format!(
-                                "planner `{}` produced a non-schedule plan during outage re-planning",
-                                plan.planner
-                            ))
-                        })?;
-                        schedules[q] = Arc::new(schedule);
+                        schedules[q] = Arc::new(extract_schedule(&plan, &tree, &self.names[q])?);
                         outage_replans += 1;
                     }
                     last_out = out;
@@ -589,31 +570,32 @@ impl ServeLoop {
             // planned cross-query sharing materializes.
             let energy_before = meter.total_cost();
             let sources = FaultySource::wrap(&streams, &fault_plan);
-            scheduler.maintain_tick(&sources, &mut meter);
             let mut is_admitted = vec![false; n];
             for &q in &admission.admitted {
                 is_admitted[q] = true;
             }
-            let admitted_queries: Vec<&SimQuery> = admission
-                .admitted
+            let run_order: Vec<usize> = self
+                .order
                 .iter()
-                .map(|&q| &self.queries[q])
+                .copied()
+                .filter(|&q| is_admitted[q])
                 .collect();
-            if self.shared {
-                scheduler.begin_tick(&admitted_queries, &sources);
-            }
-            for &q in self.order.iter().filter(|&&q| is_admitted[q]) {
-                if !self.shared {
-                    scheduler.begin_tick(std::slice::from_ref(&self.queries[q]), &sources);
-                }
-                let traced = self.config.drift.is_some();
-                let out = scheduler.run_query(
-                    &self.queries[q],
-                    &schedules[q],
-                    &sources,
-                    &mut meter,
-                    traced.then_some(&mut trace),
-                );
+            let pairs: Vec<(&SimQuery, &DnfSchedule)> = run_order
+                .iter()
+                .map(|&q| (&self.queries[q], &*schedules[q]))
+                .collect();
+            let outcomes = scheduler.run_tick(
+                &pairs,
+                &sources,
+                self.shared,
+                &mut meter,
+                self.config.drift.is_some().then_some(&mut trace),
+            );
+            // Drift re-plans run after the tick's evaluations: each
+            // query runs at most once per tick, so a new schedule is
+            // first used on the next tick either way.
+            let mut records = trace.records();
+            for (&q, out) in run_order.iter().zip(&outcomes) {
                 truths += u64::from(out.value);
                 retries += u64::from(out.retries);
                 failed_reads += u64::from(out.failed_reads);
@@ -637,29 +619,20 @@ impl ServeLoop {
                 pending[q] = None;
 
                 if let Some(cfg) = &self.config.drift {
-                    // Only this evaluation's records are ever needed;
-                    // clearing after each observe keeps the log bounded
-                    // over arbitrarily long serve runs.
-                    for rec in trace.records() {
-                        drift[q].observe(rec.leaf, rec.value);
-                    }
-                    trace.clear();
-                    if drift[q].drifted(cfg) {
-                        let probs = drift[q].recalibrated(cfg);
+                    let (mine, rest) = records.split_at(out.live_leaves());
+                    records = rest;
+                    if let Some(probs) = drift[q].absorb(mine, cfg) {
                         let tree = self.queries[q].skeleton(&probs);
                         let plan = engine.plan(&tree, &live_catalog)?;
-                        let schedule = plan.body.to_dnf_schedule(&tree).ok_or_else(|| {
-                            Error::InvalidWorkload(format!(
-                                "planner `{}` produced a non-schedule plan during drift re-planning",
-                                plan.planner
-                            ))
-                        })?;
-                        schedules[q] = Arc::new(schedule);
+                        schedules[q] = Arc::new(extract_schedule(&plan, &tree, &self.names[q])?);
                         drift[q].reset_to(probs);
                         replans += 1;
                     }
                 }
             }
+            // Cleared every tick to keep the log bounded over
+            // arbitrarily long serve runs.
+            trace.clear();
             for &q in &admission.shed {
                 pending[q] = None;
             }

@@ -66,5 +66,6 @@ pub use planner::{
 };
 pub use sim::{simulate, synthesize, SimConfig, WorkloadSimReport};
 pub use workload::{
-    outage_catalog, InterferenceReport, StreamInterference, Workload, WorkloadQuery,
+    extract_schedule, outage_catalog, InterferenceReport, StreamInterference, Workload,
+    WorkloadQuery,
 };

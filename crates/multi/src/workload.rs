@@ -175,7 +175,7 @@ impl Workload {
 /// Converts a per-query [`Plan`](paotr_core::plan::Plan) body into a
 /// schedule over `tree`'s leaf addresses — the one place the
 /// "non-schedule plan" failure is worded and raised.
-pub(crate) fn extract_schedule(
+pub fn extract_schedule(
     plan: &paotr_core::plan::Plan,
     tree: &DnfTree,
     query_name: &str,

@@ -8,7 +8,10 @@
 //! energies, the same admission decisions, and the same snapshots.
 //! Between ticks the registry absorbs churn by patching; a full joint
 //! re-plan runs after [`Config::replan_after`] churn events (or on an
-//! explicit `replan` command) through the engine's plan cache.
+//! explicit `replan` command) through the engine's plan cache. Each tick
+//! executes through `Scheduler::run_tick`, the same call `paotr_exec`'s
+//! `ServeLoop` makes, and feeds the tick's trace to the drift step
+//! afterwards.
 //!
 //! Stream `k`'s sensor data is a pure function of `(seed, k, tick)`:
 //! every stream owns a dedicated RNG seeded from the daemon seed and
@@ -26,6 +29,7 @@ use crate::telemetry::Telemetry;
 use crate::{Error, Result};
 use paotr_core::cost::ArrangeTerm;
 use paotr_core::plan::Engine;
+use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamId;
 use paotr_exec::{AcceptAll, AdmissionCtx, AdmissionPolicy, DriftConfig, EnergyBudget};
 use paotr_faults::{FaultPlan, FaultSpec, FaultySource};
@@ -374,8 +378,8 @@ impl Daemon {
         self.pending.len()
     }
 
-    /// Records in the internal trace buffer (drained after every
-    /// evaluation, so this is 0 between ticks).
+    /// Records in the internal trace buffer (drained at the end of
+    /// every tick, so this is 0 between ticks).
     pub fn trace_len(&self) -> usize {
         self.trace.records().len()
     }
@@ -440,7 +444,7 @@ impl Daemon {
     pub fn run_ticks(&mut self, n: u64) -> Result<BatchReport> {
         let start_tick = self.tick;
         self.ensure_streams();
-        let mut energies = Vec::with_capacity(n as usize);
+        let mut energies = Vec::new();
         let mut scheduler = Scheduler::new(self.streams.len(), MemoryPolicy::ClearEachQuery);
         let spec = self.faults.spec();
         scheduler.set_fault_policy(spec.max_attempts.max(1), spec.stale_serve);
@@ -505,11 +509,7 @@ impl Daemon {
             costs: &costs,
             pending_since: &pending_since,
             shared: self.registry.shared(),
-            retry_factor: if self.config.faults.is_some() {
-                f64::from(self.faults.spec().max_attempts.max(1))
-            } else {
-                1.0
-            },
+            retry_factor: f64::from(self.faults.spec().max_attempts.max(1)),
         };
         let admission = match self.config.budget {
             None => AcceptAll.admit(t, &due, &ctx),
@@ -527,13 +527,13 @@ impl Daemon {
         for &q in &admission.admitted {
             is_admitted[q] = true;
         }
-        let idx_of: BTreeMap<u64, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        // `ids` is in id order, so membership is a binary search.
         let run_order: Vec<u64> = self
             .registry
             .order()
             .iter()
             .copied()
-            .filter(|id| idx_of.get(id).is_some_and(|&i| is_admitted[i]))
+            .filter(|id| ids.binary_search(id).is_ok_and(|i| is_admitted[i]))
             .collect();
 
         let mut meter = EnergyMeter::new(EnergyModel::from_catalog(self.registry.catalog()));
@@ -541,38 +541,25 @@ impl Daemon {
         // plan they are pass-throughs, so faulted and fault-free
         // daemons share one execution path.
         let sources = FaultySource::wrap(&self.streams, &self.faults);
-        scheduler.maintain_tick(&sources, &mut meter);
-        let traced = self.config.drift.is_some();
-        if self.registry.shared() {
-            let admitted_sims: Vec<&SimQuery> = run_order
-                .iter()
-                .map(|id| &self.registry.session(*id).expect("live id").sim)
-                .collect();
-            scheduler.begin_tick(&admitted_sims, &sources);
-        }
+        let pairs: Vec<(&SimQuery, &DnfSchedule)> = run_order
+            .iter()
+            .map(|id| {
+                let session = self.registry.session(*id).expect("live id");
+                (&session.sim, &*session.schedule)
+            })
+            .collect();
+        let outcomes = scheduler.run_tick(
+            &pairs,
+            &sources,
+            self.registry.shared(),
+            &mut meter,
+            self.config.drift.is_some().then_some(&mut self.trace),
+        );
         self.last_verdicts.clear();
-        for &id in &run_order {
-            let (out, records) = {
-                let session = self.registry.session(id).expect("live id");
-                if !self.registry.shared() {
-                    scheduler.begin_tick(std::slice::from_ref(&session.sim), &sources);
-                }
-                let out = scheduler.run_query(
-                    &session.sim,
-                    &session.schedule,
-                    &sources,
-                    &mut meter,
-                    traced.then_some(&mut self.trace),
-                );
-                let records: Vec<(paotr_core::leaf::LeafRef, bool)> = self
-                    .trace
-                    .records()
-                    .iter()
-                    .map(|r| (r.leaf, r.value))
-                    .collect();
-                self.trace.clear();
-                (out, records)
-            };
+        // Taken so the log is drained even when a drift re-plan fails.
+        let trace = std::mem::take(&mut self.trace);
+        let mut records = trace.records();
+        for (&id, out) in run_order.iter().zip(&outcomes) {
             self.telemetry.evals += 1;
             self.telemetry.truths += u64::from(out.value);
             self.telemetry.retries += u64::from(out.retries);
@@ -586,16 +573,16 @@ impl Daemon {
             self.last_verdicts.push((id, out.verdict, out.degraded));
             self.pending.remove(&id);
 
-            if let Some(cfg) = self.config.drift {
-                self.registry.observe(id, &records)?;
-                let session = self.registry.session(id).expect("live id");
-                if session.drift.drifted(&cfg) {
-                    let probs = session.drift.recalibrated(&cfg);
-                    self.registry.recalibrate(id, probs, &self.engine)?;
+            if let Some(cfg) = &self.config.drift {
+                let (mine, rest) = records.split_at(out.live_leaves());
+                records = rest;
+                if self.registry.absorb(id, mine, cfg, &self.engine)? {
                     self.telemetry.drift_replans += 1;
                 }
             }
         }
+        self.trace = trace;
+        self.trace.clear();
         for &q in &admission.shed {
             self.pending.remove(&ids[q]);
             self.telemetry.shed += 1;
@@ -1287,6 +1274,19 @@ mod tests {
         let (r, stop) = d.handle_line(r#"{"cmd":"shutdown"}"#);
         assert_eq!(r, r#"{"ok":true}"#);
         assert!(stop);
+    }
+
+    #[test]
+    fn oversized_tick_requests_are_refused_without_ticking() {
+        let mut d = daemon(None);
+        d.register(Q3, 1.0).unwrap();
+        let (r, stop) = d.handle_line(r#"{"cmd":"tick","n":9000000000000000}"#);
+        assert!(!stop);
+        assert!(
+            r.starts_with(r#"{"ok":false,"error":"tick: `n` must be at most"#),
+            "{r}"
+        );
+        assert_eq!(d.tick(), 0);
     }
 
     #[test]

@@ -18,6 +18,11 @@
 
 use crate::json::{parse, Json};
 
+/// Most ticks one `tick` request may ask for. A request runs to
+/// completion under the daemon lock, so the ceiling bounds how long one
+/// line can stall every other client.
+pub const MAX_TICKS_PER_REQUEST: u64 = 1_000_000;
+
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -93,6 +98,11 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     .filter(|&n| n > 0)
                     .ok_or_else(|| "tick: `n` must be a positive integer".to_string())?,
             };
+            if n > MAX_TICKS_PER_REQUEST {
+                return Err(format!(
+                    "tick: `n` must be at most {MAX_TICKS_PER_REQUEST} per request"
+                ));
+            }
             Ok(Command::Tick { n })
         }
         "stats" => Ok(Command::Stats),
@@ -195,6 +205,7 @@ mod tests {
             (r#"{"cmd":"register","query":"a<1","weight":"x"}"#, "weight"),
             (r#"{"cmd":"unregister"}"#, "id"),
             (r#"{"cmd":"tick","n":0}"#, "positive"),
+            (r#"{"cmd":"tick","n":9000000000000000}"#, "at most"),
             (r#"{"cmd":"snapshot","path":7}"#, "path"),
         ] {
             let err = parse_command(line).expect_err(line);

@@ -22,12 +22,12 @@ use paotr_core::plan::Engine;
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::StreamCatalog;
 use paotr_core::tree::DnfTree;
-use paotr_exec::DriftState;
-use paotr_multi::{planner_by_name, Workload, WorkloadQuery};
+use paotr_exec::{DriftConfig, DriftState};
+use paotr_multi::{extract_schedule, planner_by_name, Workload, WorkloadQuery};
 use paotr_qlang as qlang;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stream_sim::{SimLeaf, SimQuery};
+use stream_sim::{LeafRecord, SimLeaf, SimQuery};
 
 /// One live registered query.
 #[derive(Debug, Clone)]
@@ -224,16 +224,16 @@ impl SessionRegistry {
             .ok_or_else(|| Error::Query("query is not DNF-shaped".into()))?;
         let probs: Vec<f64> = dnf.leaves().map(|(_, l)| l.prob.value()).collect();
         let tree = sim.skeleton(&probs);
-        let schedule = plan_schedule(engine, &tree, &self.catalog)?;
-
         let id = self.next_id;
+        let name = format!("c{id}");
+        let schedule = plan_schedule(engine, &tree, &self.catalog, &name)?;
         self.next_id += 1;
         let drift = DriftState::new(&tree);
         self.sessions.insert(
             id,
             Session {
                 id,
-                name: format!("c{id}"),
+                name,
                 source: source.to_string(),
                 weight,
                 registered_tick: tick,
@@ -294,17 +294,25 @@ impl SessionRegistry {
         Ok(())
     }
 
-    /// Feeds one evaluation's per-leaf trace records into session
-    /// `id`'s drift estimators.
-    pub fn observe(&mut self, id: u64, records: &[(LeafRef, bool)]) -> Result<()> {
+    /// Feeds one evaluation's live trace records into session `id`'s
+    /// drift estimators and, when they report drift, re-calibrates and
+    /// re-plans the session ([`SessionRegistry::recalibrate`]). Returns
+    /// whether it re-planned.
+    pub fn absorb(
+        &mut self,
+        id: u64,
+        records: &[LeafRecord],
+        cfg: &DriftConfig,
+        engine: &Engine,
+    ) -> Result<bool> {
         let session = self
             .sessions
             .get_mut(&id)
             .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
-        for &(leaf, value) in records {
-            session.drift.observe(leaf, value);
+        match session.drift.absorb(records, cfg) {
+            Some(probs) => self.recalibrate(id, probs, engine).map(|()| true),
+            None => Ok(false),
         }
-        Ok(())
     }
 
     /// Adopts a re-calibrated probability vector for session `id` and
@@ -316,7 +324,7 @@ impl SessionRegistry {
             .get_mut(&id)
             .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
         let tree = session.sim.skeleton(&probs);
-        let schedule = plan_schedule(engine, &tree, &catalog)?;
+        let schedule = plan_schedule(engine, &tree, &catalog, &session.name)?;
         session.tree = tree;
         session.schedule = Arc::new(schedule);
         session.drift.reset_to(probs);
@@ -425,17 +433,18 @@ pub(crate) struct RestoredParts {
     pub next_id: u64,
 }
 
-/// Plans one tree through the engine and extracts its leaf schedule.
-fn plan_schedule(engine: &Engine, tree: &DnfTree, catalog: &StreamCatalog) -> Result<DnfSchedule> {
+/// Plans session `name`'s tree through the engine and extracts its leaf
+/// schedule.
+fn plan_schedule(
+    engine: &Engine,
+    tree: &DnfTree,
+    catalog: &StreamCatalog,
+    name: &str,
+) -> Result<DnfSchedule> {
     let plan = engine
         .plan(tree, catalog)
         .map_err(|e| Error::Plan(format!("planning failed: {e}")))?;
-    plan.body.to_dnf_schedule(tree).ok_or_else(|| {
-        Error::Plan(format!(
-            "planner `{}` produced a non-schedule plan",
-            plan.planner
-        ))
-    })
+    extract_schedule(&plan, tree, name).map_err(|e| Error::Plan(e.to_string()))
 }
 
 /// Validates that `order` (as `(term, leaf)` pairs) is a permutation of

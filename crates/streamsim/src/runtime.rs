@@ -2,8 +2,8 @@
 //!
 //! Every execution path of the workspace — the single-query
 //! [`Engine`](crate::engine::Engine), the multi-query shared-pull loop
-//! in `paotr_multi::sim`, and the serving loop in `paotr_exec` — runs
-//! on the three pieces of this module:
+//! in `paotr_multi::sim`, the `paotr_exec` serving loop and the
+//! `paotr_serverd` daemon — runs on the three pieces of this module:
 //!
 //! * [`StreamSource`] — the read interface a stream must offer the
 //!   executor (`now` + `recent`), implemented by the sensor-backed
@@ -18,11 +18,12 @@
 //!   lifetime totals, and per-stream item counters.
 //!
 //! The split matters because the pull-coalescing loop is the semantics
-//! the paper's cost model prices; having exactly one implementation
-//! (instead of the three that previously lived in `engine.rs`,
-//! `multi/sim.rs` and `core/cost/execution.rs`) is what makes the
-//! serving-layer features — admission control, drift re-planning —
-//! safe to build: they observe the same energies the planners predict.
+//! the paper's cost model prices; having exactly one implementation is
+//! what makes the serving-layer features — admission control, drift
+//! re-planning — safe to build: they observe the same energies the
+//! planners predict. Every multi-query path enters it through one
+//! function, [`Scheduler::run_tick`]: arrangement maintenance, the
+//! memory policy and the evaluations of one tick, in that order.
 
 use crate::device::{DeviceMemory, MemoryPolicy};
 use crate::energy::EnergyModel;
@@ -148,6 +149,14 @@ pub struct QueryOutcome {
     pub evaluated: usize,
     /// Items pulled per stream during this evaluation.
     pub items_pulled: Vec<u32>,
+}
+
+impl QueryOutcome {
+    /// Leaves evaluated on live data: the number of [`LeafRecord`]s
+    /// this evaluation appended to the trace, if one was passed.
+    pub fn live_leaves(&self) -> usize {
+        self.evaluated - self.failed_reads as usize
+    }
 }
 
 /// The single energy/trace accounting implementation: prices every pull
@@ -416,7 +425,8 @@ impl Scheduler {
     /// short-circuiting, paying (through `meter`) only for items
     /// missing from memory, optionally appending per-leaf records to a
     /// trace. Call [`Scheduler::begin_tick`] first to apply the memory
-    /// policy — or use [`Scheduler::run_tick`], which sequences both.
+    /// policy — or use [`Scheduler::run_tick`], which sequences a whole
+    /// tick.
     ///
     /// Under fault injection (sources whose [`StreamSource::try_recent`]
     /// can fail) evaluation is three-valued: an unreadable leaf becomes
@@ -618,7 +628,11 @@ impl Scheduler {
         }
     }
 
-    /// Executes a whole tick: every `(query, schedule)` pair in order.
+    /// Executes a whole tick: one [`Scheduler::maintain_tick`] round
+    /// (a no-op without a store), then every `(query, schedule)` pair in
+    /// order. Each outcome's [`QueryOutcome::live_leaves`] records are
+    /// appended to `trace` in execution order, so the trace splits back
+    /// into per-evaluation slices.
     ///
     /// With `shared = true` the memory policy is applied once for the
     /// whole set and all queries run against one shared memory — items
@@ -638,6 +652,7 @@ impl Scheduler {
         meter: &mut EnergyMeter,
         mut trace: Option<&mut TraceLog>,
     ) -> Vec<QueryOutcome> {
+        self.maintain_tick(streams, meter);
         if shared {
             let all: Vec<&SimQuery> = queries.iter().map(|(q, _)| *q).collect();
             self.begin_tick(&all, streams);
@@ -975,6 +990,109 @@ mod tests {
         assert_eq!(out.cost, 0.0);
         let stats = sched.arrangements().unwrap().stats();
         assert_eq!(stats.hits, 0, "stale serves do not count as hits");
+    }
+
+    #[test]
+    fn traced_run_tick_appends_live_leaves_per_outcome_in_order() {
+        // Stream 0 fails its first contact per read, stream 1 is out,
+        // stream 2 is healthy (and false under `< 70`).
+        let mk = |v: f64, fail_first: u32, out: bool| Flaky {
+            inner: constant_stream(v, 20),
+            fail_first,
+            out,
+        };
+        let streams = vec![mk(50.0, 1, false), mk(50.0, 0, true), mk(90.0, 0, false)];
+        let queries = [
+            SimQuery::new(vec![
+                vec![leaf(0, 4, 70.0), leaf(1, 4, 70.0)],
+                vec![leaf(2, 4, 70.0)],
+            ])
+            .unwrap(),
+            SimQuery::new(vec![vec![leaf(1, 2, 70.0)], vec![leaf(0, 2, 70.0)]]).unwrap(),
+            SimQuery::new(vec![vec![leaf(2, 6, 70.0)]]).unwrap(),
+        ];
+        let schedules: Vec<DnfSchedule> = queries
+            .iter()
+            .map(|q| DnfSchedule::from_order_unchecked(q.leaf_refs()))
+            .collect();
+        let pairs: Vec<(&SimQuery, &DnfSchedule)> = queries.iter().zip(&schedules).collect();
+        let mut sched = Scheduler::new(3, MemoryPolicy::ClearEachQuery);
+        sched.set_fault_policy(2, false);
+        let mut m = meter(&[1.0, 1.0, 1.0]);
+        let mut trace = TraceLog::default();
+        let outs = sched.run_tick(&pairs, &streams, true, &mut m, Some(&mut trace));
+
+        assert_eq!(outs[0].retries, 1, "stream 0's first contact failed");
+        assert_eq!(
+            outs.iter().map(|o| o.failed_reads).collect::<Vec<_>>(),
+            [1, 1, 0],
+            "stream 1's outage hits the first two queries"
+        );
+        let lr = |term, leaf| paotr_core::leaf::LeafRef { term, leaf };
+        let expected = [
+            vec![(lr(0, 0), true), (lr(1, 0), false)],
+            vec![(lr(1, 0), true)],
+            vec![(lr(0, 0), false)],
+        ];
+        let mut records = trace.records();
+        for (out, want) in outs.iter().zip(&expected) {
+            assert_eq!(out.live_leaves(), want.len());
+            let (mine, rest) = records.split_at(out.live_leaves());
+            let got: Vec<_> = mine.iter().map(|r| (r.leaf, r.value)).collect();
+            assert_eq!(&got, want);
+            records = rest;
+        }
+        assert!(records.is_empty(), "no record outside an outcome's slice");
+    }
+
+    #[test]
+    fn run_tick_maintains_the_store_like_the_manual_sequence() {
+        use paotr_arrange::{ArrangeConfig, ArrangementStore};
+
+        let queries = [
+            SimQuery::new(vec![vec![leaf(0, 8, 0.0), leaf(1, 3, 0.5)]]).unwrap(),
+            SimQuery::new(vec![vec![leaf(1, 4, 0.0)], vec![leaf(0, 2, 0.2)]]).unwrap(),
+        ];
+        let schedules: Vec<DnfSchedule> = queries
+            .iter()
+            .map(|q| DnfSchedule::from_order_unchecked(q.leaf_refs()))
+            .collect();
+        let pairs: Vec<(&SimQuery, &DnfSchedule)> = queries.iter().zip(&schedules).collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut streams = gaussian_streams(&[8, 4], &mut rng);
+        let store = || {
+            let mut s = ArrangementStore::new(ArrangeConfig::default());
+            assert!(s.acquire(StreamId(0), 8));
+            assert!(s.acquire(StreamId(1), 4));
+            s
+        };
+        let mut whole = Scheduler::with_arrangements(2, store());
+        let mut manual = Scheduler::with_arrangements(2, store());
+        let mut wm = meter(&[1.0, 2.0]);
+        let mut mm = meter(&[1.0, 2.0]);
+
+        for tick in 0..6 {
+            let a = whole.run_tick(&pairs, &streams, true, &mut wm, None);
+            manual.maintain_tick(&streams, &mut mm);
+            manual.begin_tick(&queries, &streams);
+            let b: Vec<QueryOutcome> = pairs
+                .iter()
+                .map(|(q, s)| manual.run_query(q, s, &streams, &mut mm, None))
+                .collect();
+            assert_eq!(a, b, "tick {tick}");
+            streams.iter_mut().for_each(|s| s.advance_by(1, &mut rng));
+        }
+        assert_eq!(wm.items_maintained(), mm.items_maintained());
+        assert!(wm.maintain_cost_total() > 0.0);
+        assert_eq!(
+            wm.maintain_cost_total().to_bits(),
+            mm.maintain_cost_total().to_bits()
+        );
+        assert_eq!(wm.total_cost().to_bits(), mm.total_cost().to_bits());
+        assert_eq!(
+            whole.arrangements().unwrap().stats(),
+            manual.arrangements().unwrap().stats()
+        );
     }
 
     #[test]
