@@ -26,12 +26,13 @@
 //!   catches up (at most one window of items) if re-acquired.
 //!
 //! The store is deliberately independent of any stream trait: callers
-//! hand it newest-first item slices (the `recent(n)` shape every stream
-//! source already serves), so the crate depends only on `paotr-core`
-//! and slots under the simulator, the serving loop and the daemon
-//! alike. Whether maintaining beats re-pulling for a given stream is
-//! decided by the planner through `paotr_core::cost::arrange` — the
-//! store only executes the decision.
+//! fill newest-first item buffers for it (the `recent_into(n, buf)`
+//! shape every stream source already serves) and read into buffers of
+//! their own, so maintaining and serving allocate nothing. The crate
+//! depends only on `paotr-core` and slots under the simulator, the
+//! serving loop and the daemon alike. Whether maintaining beats
+//! re-pulling for a given stream is decided by the planner through
+//! `paotr_core::cost::arrange` — the store only executes the decision.
 #![forbid(unsafe_code)]
 
 use paotr_core::stream::StreamId;
@@ -148,15 +149,12 @@ impl Arrangement {
         self.window >= window && self.maintained_to == now && self.ring.len() >= window as usize
     }
 
-    /// The newest `window` items, newest first. Caller checks
+    /// Replaces the contents of `buf` with the newest `window` items,
+    /// newest first. Caller checks
     /// [`can_serve`](Arrangement::can_serve).
-    fn read(&self, window: u32) -> Vec<f64> {
-        self.ring
-            .iter()
-            .rev()
-            .take(window as usize)
-            .copied()
-            .collect()
+    fn read_into(&self, window: u32, buf: &mut Vec<f64>) {
+        buf.clear();
+        buf.extend(self.ring.iter().rev().take(window as usize));
     }
 }
 
@@ -321,8 +319,11 @@ impl ArrangementStore {
     }
 
     /// Maintains every arrangement of stream `k` at stream time `now`
-    /// with one fetch: `fetch(n)` returns the newest `n` items (newest
-    /// first), exactly the `recent` shape of every stream source.
+    /// with one fetch: `fetch(n, buf)` replaces the contents of `buf`
+    /// with the newest `n` items (newest first) and returns true —
+    /// exactly the `recent_into` shape of every stream source — or
+    /// returns false when the stream cannot serve them. `buf` is the
+    /// caller's reused scratch; maintenance allocates nothing else.
     /// Returns the items fetched — the physical cost of this
     /// maintenance, to be priced by the caller's energy meter.
     /// Arrangements whose need exceeds the fetch (stale free-riders)
@@ -331,56 +332,65 @@ impl ArrangementStore {
         &mut self,
         k: StreamId,
         now: u64,
-        fetch: impl FnOnce(usize) -> Option<Vec<f64>>,
+        buf: &mut Vec<f64>,
+        fetch: impl FnOnce(usize, &mut Vec<f64>) -> bool,
     ) -> u32 {
         let need = self.maintenance_need(k, now);
         if need == 0 {
             return 0;
         }
-        let Some(data) = fetch(need as usize) else {
+        if !fetch(need as usize, buf) {
             return 0;
-        };
+        }
         assert!(
-            data.len() >= need as usize,
+            buf.len() >= need as usize,
             "fetch returned {} items, maintenance needs {need}",
-            data.len()
+            buf.len()
         );
         for a in self.stream_range_mut(k) {
-            a.absorb(now, &data);
+            a.absorb(now, buf);
         }
         self.maintained_items += u64::from(need);
         need
     }
 
     /// Serves a `window`-item read of stream `k` at stream time `now`
-    /// from maintained state, newest first. `None` when no arrangement
-    /// covers the window current to `now` — the caller falls back to a
-    /// priced pull. The smallest covering arrangement wins (ties are
-    /// impossible: keys are unique).
-    pub fn serve(&mut self, k: StreamId, now: u64, window: u32) -> Option<Vec<f64>> {
-        let hit = self
-            .stream_range(k)
-            .find(|a| a.can_serve(now, window))
-            .map(|a| a.read(window));
-        if hit.is_some() {
-            self.hits += 1;
-            self.hit_items += u64::from(window);
-        }
-        hit
+    /// from maintained state into `buf` (contents replaced, newest
+    /// first) and returns true. Returns false, leaving `buf` untouched,
+    /// when no arrangement covers the window current to `now` — the
+    /// caller falls back to a priced pull. The smallest covering
+    /// arrangement wins (ties are impossible: keys are unique).
+    pub fn serve_into(&mut self, k: StreamId, now: u64, window: u32, buf: &mut Vec<f64>) -> bool {
+        let Some(arr) = self.stream_range(k).find(|a| a.can_serve(now, window)) else {
+            return false;
+        };
+        arr.read_into(window, buf);
+        self.hits += 1;
+        self.hit_items += u64::from(window);
+        true
     }
 
     /// Serves a `window`-item read of stream `k` from the *freshest*
-    /// maintained state regardless of currency — the degraded-mode
-    /// fallback for a stream in outage. Returns the window and its
-    /// staleness (`now - maintained_to`); `None` when no ring is wide
-    /// and full enough. Counter-free: stale serves are accounted by the
-    /// caller (they carry no bit-for-bit guarantee, so they must not
-    /// inflate the hit statistics replay tests compare).
-    pub fn serve_stale(&self, k: StreamId, now: u64, window: u32) -> Option<(Vec<f64>, u64)> {
-        self.stream_range(k)
+    /// maintained state regardless of currency into `buf` (contents
+    /// replaced, newest first) — the degraded-mode fallback for a
+    /// stream in outage. Returns the window's staleness
+    /// (`now - maintained_to`); `None`, leaving `buf` untouched, when no
+    /// ring is wide and full enough. Counter-free: stale serves are
+    /// accounted by the caller (they carry no bit-for-bit guarantee, so
+    /// they must not inflate the hit statistics replay tests compare).
+    pub fn serve_stale_into(
+        &self,
+        k: StreamId,
+        now: u64,
+        window: u32,
+        buf: &mut Vec<f64>,
+    ) -> Option<u64> {
+        let arr = self
+            .stream_range(k)
             .filter(|a| a.window >= window && a.ring.len() >= window as usize)
-            .max_by_key(|a| a.maintained_to)
-            .map(|a| (a.read(window), now.saturating_sub(a.maintained_to)))
+            .max_by_key(|a| a.maintained_to)?;
+        arr.read_into(window, buf);
+        Some(now.saturating_sub(arr.maintained_to))
     }
 
     /// Restores a persisted arrangement shell (ring contents are
@@ -465,10 +475,21 @@ mod tests {
     const A: StreamId = StreamId(0);
     const B: StreamId = StreamId(1);
 
-    /// Stream `k` as a pure function of time: item at timestamp t is
-    /// `t as f64`, so data checks read literally.
-    fn fetch_at(now: u64) -> impl FnOnce(usize) -> Option<Vec<f64>> {
-        move |n| Some((0..n as u64).map(|i| (now - i) as f64).collect())
+    /// Maintains stream `k` at `now` from a stream that is a pure
+    /// function of time: the item at timestamp t is `t as f64`, so data
+    /// checks read literally.
+    fn maintain(s: &mut ArrangementStore, k: StreamId, now: u64) -> u32 {
+        s.maintain(k, now, &mut Vec::new(), |n, buf| {
+            buf.clear();
+            buf.extend((0..n as u64).map(|i| (now - i) as f64));
+            true
+        })
+    }
+
+    /// [`ArrangementStore::serve_into`] as an owned window.
+    fn serve(s: &mut ArrangementStore, k: StreamId, now: u64, window: u32) -> Option<Vec<f64>> {
+        let mut buf = vec![-1.0; 2];
+        s.serve_into(k, now, window, &mut buf).then_some(buf)
     }
 
     fn store() -> ArrangementStore {
@@ -484,10 +505,10 @@ mod tests {
             4,
             "cold ring needs a full window"
         );
-        assert_eq!(s.maintain(A, 10, fetch_at(10)), 4);
+        assert_eq!(maintain(&mut s, A, 10), 4);
         assert_eq!(s.maintenance_need(A, 10), 0, "current ring needs nothing");
-        assert_eq!(s.maintain(A, 11, fetch_at(11)), 1, "one new item per tick");
-        assert_eq!(s.serve(A, 11, 4), Some(vec![11.0, 10.0, 9.0, 8.0]));
+        assert_eq!(maintain(&mut s, A, 11), 1, "one new item per tick");
+        assert_eq!(serve(&mut s, A, 11, 4), Some(vec![11.0, 10.0, 9.0, 8.0]));
         assert_eq!(s.stats().maintained_items, 5);
         assert_eq!(s.stats().hit_items, 4);
     }
@@ -496,12 +517,12 @@ mod tests {
     fn serve_misses_stale_or_uncovered_reads() {
         let mut s = store();
         s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
-        assert_eq!(s.serve(A, 11, 4), None, "stale by one tick");
-        assert_eq!(s.serve(A, 10, 5), None, "window wider than the spec");
-        assert_eq!(s.serve(B, 10, 1), None, "unknown stream");
+        maintain(&mut s, A, 10);
+        assert_eq!(serve(&mut s, A, 11, 4), None, "stale by one tick");
+        assert_eq!(serve(&mut s, A, 10, 5), None, "window wider than the spec");
+        assert_eq!(serve(&mut s, B, 10, 1), None, "unknown stream");
         assert_eq!(
-            s.serve(A, 10, 3),
+            serve(&mut s, A, 10, 3),
             Some(vec![10.0, 9.0, 8.0]),
             "narrower is fine"
         );
@@ -514,9 +535,9 @@ mod tests {
         s.acquire(A, 3);
         s.acquire(A, 6);
         assert_eq!(s.maintenance_need(A, 20), 6, "widest need wins");
-        assert_eq!(s.maintain(A, 20, fetch_at(20)), 6, "one physical fetch");
-        assert_eq!(s.serve(A, 20, 3), Some(vec![20.0, 19.0, 18.0]));
-        assert_eq!(s.serve(A, 20, 6).map(|d| d.len()), Some(6));
+        assert_eq!(maintain(&mut s, A, 20), 6, "one physical fetch");
+        assert_eq!(serve(&mut s, A, 20, 3), Some(vec![20.0, 19.0, 18.0]));
+        assert_eq!(serve(&mut s, A, 20, 6).map(|d| d.len()), Some(6));
         assert_eq!(
             s.stats().maintained_items,
             6,
@@ -528,11 +549,14 @@ mod tests {
     fn gap_larger_than_window_rebuilds_the_ring() {
         let mut s = store();
         s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
+        maintain(&mut s, A, 10);
         // 90 ticks later: only the newest 4 items matter.
         assert_eq!(s.maintenance_need(A, 100), 4);
-        s.maintain(A, 100, fetch_at(100));
-        assert_eq!(s.serve(A, 100, 4), Some(vec![100.0, 99.0, 98.0, 97.0]));
+        maintain(&mut s, A, 100);
+        assert_eq!(
+            serve(&mut s, A, 100, 4),
+            Some(vec![100.0, 99.0, 98.0, 97.0])
+        );
     }
 
     #[test]
@@ -558,15 +582,15 @@ mod tests {
     fn grace_arrangements_go_stale_for_free_and_catch_up_on_reacquire() {
         let mut s = store();
         s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
+        maintain(&mut s, A, 10);
         s.release(A, 4).unwrap();
         s.begin_tick();
         assert_eq!(s.maintenance_need(A, 11), 0, "no readers, no maintenance");
-        assert_eq!(s.maintain(A, 11, fetch_at(11)), 0);
+        assert_eq!(maintain(&mut s, A, 11), 0);
         s.acquire(A, 4);
         assert_eq!(s.maintenance_need(A, 12), 2, "catches up the missed gap");
-        s.maintain(A, 12, fetch_at(12));
-        assert_eq!(s.serve(A, 12, 4), Some(vec![12.0, 11.0, 10.0, 9.0]));
+        maintain(&mut s, A, 12);
+        assert_eq!(serve(&mut s, A, 12, 4), Some(vec![12.0, 11.0, 10.0, 9.0]));
     }
 
     #[test]
@@ -598,19 +622,19 @@ mod tests {
         // stream buffer cannot reach one item past its capacity): serving
         // waits until the next maintenance completes the ring.
         s.refill(A, 4, &[30.0, 29.0, 28.0]).unwrap();
-        assert_eq!(s.serve(A, 30, 4), None, "ring still one short");
-        assert_eq!(s.maintain(A, 31, fetch_at(31)), 1);
-        assert_eq!(s.serve(A, 31, 4), Some(vec![31.0, 30.0, 29.0, 28.0]));
+        assert_eq!(serve(&mut s, A, 30, 4), None, "ring still one short");
+        assert_eq!(maintain(&mut s, A, 31), 1);
+        assert_eq!(serve(&mut s, A, 31, 4), Some(vec![31.0, 30.0, 29.0, 28.0]));
     }
 
     #[test]
     fn store_equality_and_clone_cover_live_state() {
         let mut s = store();
         s.acquire(A, 4);
-        s.maintain(A, 10, fetch_at(10));
+        maintain(&mut s, A, 10);
         let c = s.clone();
         assert_eq!(s, c);
-        s.maintain(A, 11, fetch_at(11));
+        maintain(&mut s, A, 11);
         assert_ne!(s, c, "maintenance moves observable state");
     }
 }

@@ -515,6 +515,15 @@ impl ServeLoop {
         let mut max_staleness = 0u64;
         let mut outage_replans = 0u64;
         let mut verdicts: Vec<VerdictRecord> = Vec::new();
+        // Per-tick working sets, reused across ticks.
+        let mut due: Vec<usize> = Vec::with_capacity(n);
+        let mut is_admitted = vec![false; n];
+        let mut run_order: Vec<usize> = Vec::with_capacity(n);
+        let mut outcomes = Vec::with_capacity(n);
+        // `run_tick`'s `(query, schedule)` pairs borrow `schedules`,
+        // which re-plans replace, so between ticks their buffer is
+        // parked empty under a borrow-free type of the same layout.
+        let mut parked_pairs: Vec<(usize, usize)> = Vec::with_capacity(n);
 
         for t in 0..self.config.ticks as u64 {
             // Outage transitions re-plan the affected queries against a
@@ -552,7 +561,8 @@ impl ServeLoop {
                     pending[q] = Some(t);
                 }
             }
-            let due: Vec<usize> = (0..n).filter(|&q| pending[q].is_some()).collect();
+            due.clear();
+            due.extend((0..n).filter(|&q| pending[q].is_some()));
             for q in 0..n {
                 pending_since[q] = pending[q].unwrap_or(t);
             }
@@ -570,27 +580,28 @@ impl ServeLoop {
             // planned cross-query sharing materializes.
             let energy_before = meter.total_cost();
             let sources = FaultySource::wrap(&streams, &fault_plan);
-            let mut is_admitted = vec![false; n];
+            is_admitted.fill(false);
             for &q in &admission.admitted {
                 is_admitted[q] = true;
             }
-            let run_order: Vec<usize> = self
-                .order
-                .iter()
-                .copied()
-                .filter(|&q| is_admitted[q])
-                .collect();
-            let pairs: Vec<(&SimQuery, &DnfSchedule)> = run_order
-                .iter()
-                .map(|&q| (&self.queries[q], &*schedules[q]))
-                .collect();
-            let outcomes = scheduler.run_tick(
+            run_order.clear();
+            run_order.extend(self.order.iter().copied().filter(|&q| is_admitted[q]));
+            let mut pairs: Vec<(&SimQuery, &DnfSchedule)> =
+                recycle(std::mem::take(&mut parked_pairs));
+            pairs.extend(
+                run_order
+                    .iter()
+                    .map(|&q| (&self.queries[q], &*schedules[q])),
+            );
+            scheduler.run_tick(
                 &pairs,
                 &sources,
                 self.shared,
                 &mut meter,
                 self.config.drift.is_some().then_some(&mut trace),
+                &mut outcomes,
             );
+            parked_pairs = recycle(pairs);
             // Drift re-plans run after the tick's evaluations: each
             // query runs at most once per tick, so a new schedule is
             // first used on the next tick either way.
@@ -690,5 +701,35 @@ impl ServeLoop {
             outage_replans,
             verdicts,
         })
+    }
+}
+
+/// Empties `v` and returns its allocation as a `Vec<U>`. No element is
+/// ever converted, so this is safe for any `U`; when `T` and `U` share a
+/// size and alignment, std collects the adapter in place and the buffer
+/// is reused instead of reallocated. This lets a per-tick buffer of
+/// borrows outlive the borrows it held.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recycle_hands_back_the_same_allocation_empty() {
+        let (a, b) = (1u8, 2u16);
+        let mut pairs: Vec<(&u8, &u16)> = Vec::with_capacity(8);
+        pairs.push((&a, &b));
+        let ptr = pairs.as_ptr() as usize;
+        let parked: Vec<(usize, usize)> = recycle(pairs);
+        assert!(parked.is_empty());
+        assert_eq!((parked.as_ptr() as usize, parked.capacity()), (ptr, 8));
+        let back: Vec<(&u8, &u16)> = recycle(parked);
+        assert_eq!((back.as_ptr() as usize, back.capacity()), (ptr, 8));
     }
 }

@@ -16,8 +16,8 @@
 //!   tick-for-tick;
 //! * [`FaultySource`] — a decorator implementing
 //!   [`StreamSource`](stream_sim::StreamSource) that gates sensor
-//!   contacts (`try_recent`) through a plan while leaving device-local
-//!   reads (`recent`) untouched.
+//!   contacts (`try_recent_into`) through a plan while leaving
+//!   device-local reads (`recent_into`) untouched.
 //!
 //! The scheduler's three-valued evaluation and retry pricing live in
 //! `stream_sim::runtime`; this crate only decides *when* things fail.
@@ -203,8 +203,8 @@ impl FaultPlan {
 }
 
 /// [`StreamSource`] decorator that replays a [`FaultPlan`] over an
-/// inner source. Device-local reads (`now`, `recent`) pass through
-/// untouched — faults only gate *sensor contacts* (`try_recent`) and
+/// inner source. Device-local reads (`now`, `recent_into`) pass through
+/// untouched — faults only gate *sensor contacts* (`try_recent_into`) and
 /// the outage flag, exactly the surface the scheduler's retry and
 /// Kleene paths consume.
 #[derive(Debug)]
@@ -242,25 +242,28 @@ impl<S: StreamSource> StreamSource for FaultySource<'_, S> {
         self.inner.now()
     }
 
-    fn recent(&self, n: usize) -> Option<Vec<f64>> {
-        self.inner.recent(n)
+    fn recent_into(&self, n: usize, buf: &mut Vec<f64>) -> bool {
+        self.inner.recent_into(n, buf)
     }
 
     fn is_out(&self) -> bool {
         self.plan.is_out(self.stream, self.inner.now())
     }
 
-    fn try_recent(&self, n: usize, attempt: u32) -> ReadAttempt {
+    fn try_recent_into(&self, n: usize, attempt: u32, buf: &mut Vec<f64>) -> ReadAttempt {
         let now = self.inner.now();
         if self.plan.is_out(self.stream, now) {
+            buf.clear();
             return ReadAttempt::Outage;
         }
         if self.plan.read_fails(self.stream, now, attempt) {
+            buf.clear();
             return ReadAttempt::Transient;
         }
-        match self.inner.recent(n) {
-            Some(data) => ReadAttempt::Data(data),
-            None => ReadAttempt::Cold,
+        if self.inner.recent_into(n, buf) {
+            ReadAttempt::Data
+        } else {
+            ReadAttempt::Cold
         }
     }
 }
@@ -365,18 +368,28 @@ mod tests {
         let streams = gaussian_streams(&[8], &mut rng);
         let plan = FaultPlan::with_forced_outages(FaultSpec::none(), vec![0]);
         let wrapped = FaultySource::wrap(&streams, &plan);
+        let mut buf = Vec::new();
         assert_eq!(StreamSource::now(&wrapped[0]), streams[0].now());
-        assert_eq!(wrapped[0].recent(8), streams[0].recent(8));
+        assert!(
+            wrapped[0].recent_into(8, &mut buf),
+            "local reads pass through"
+        );
+        assert_eq!(Some(buf.clone()), streams[0].recent(8));
         assert!(wrapped[0].is_out());
-        assert_eq!(wrapped[0].try_recent(8, 0), ReadAttempt::Outage);
+        assert_eq!(
+            wrapped[0].try_recent_into(8, 0, &mut buf),
+            ReadAttempt::Outage
+        );
+        assert!(buf.is_empty(), "a failed contact delivers nothing");
 
         let live = FaultPlan::none();
         let wrapped = FaultySource::wrap(&streams, &live);
         assert!(!wrapped[0].is_out());
         assert_eq!(
-            wrapped[0].try_recent(8, 0),
-            ReadAttempt::Data(streams[0].recent(8).unwrap())
+            wrapped[0].try_recent_into(8, 0, &mut buf),
+            ReadAttempt::Data
         );
+        assert_eq!(Some(buf), streams[0].recent(8));
     }
 
     #[test]

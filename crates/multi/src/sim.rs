@@ -141,17 +141,20 @@ pub fn simulate(workload: &Workload, joint: &JointPlan, config: SimConfig) -> Wo
     let n = workload.len();
     let mut energy = vec![0.0f64; n];
     let mut truths = vec![0usize; n];
-    let mut items = vec![0u64; catalog.len()];
+    let mut outcomes = Vec::with_capacity(ordered.len());
     for _ in 0..config.ticks {
-        let outcomes =
-            scheduler.run_tick(&ordered, &streams, joint.shared_execution, &mut meter, None);
+        scheduler.run_tick(
+            &ordered,
+            &streams,
+            joint.shared_execution,
+            &mut meter,
+            None,
+            &mut outcomes,
+        );
         for (pos, out) in outcomes.iter().enumerate() {
             let q = joint.order[pos];
             energy[q] += out.cost;
             truths[q] += usize::from(out.value);
-            for (acc, &pulled) in items.iter_mut().zip(&out.items_pulled) {
-                *acc += u64::from(pulled);
-            }
         }
         for s in &mut streams {
             s.advance_by(config.ticks_between.max(1), &mut rng);
@@ -163,7 +166,7 @@ pub fn simulate(workload: &Workload, joint: &JointPlan, config: SimConfig) -> Wo
     WorkloadSimReport {
         total_energy: per_query_energy.iter().sum(),
         per_query_energy,
-        items_pulled: items,
+        items_pulled: meter.items_pulled().to_vec(),
         truth_rates: truths.iter().map(|&t| t as f64 / ticks).collect(),
     }
 }

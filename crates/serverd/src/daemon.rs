@@ -548,12 +548,14 @@ impl Daemon {
                 (&session.sim, &*session.schedule)
             })
             .collect();
-        let outcomes = scheduler.run_tick(
+        let mut outcomes = Vec::with_capacity(pairs.len());
+        scheduler.run_tick(
             &pairs,
             &sources,
             self.registry.shared(),
             &mut meter,
             self.config.drift.is_some().then_some(&mut self.trace),
+            &mut outcomes,
         );
         self.last_verdicts.clear();
         // Taken so the log is drained even when a drift re-plan fails.

@@ -15,8 +15,14 @@
 
 use std::fmt;
 
+/// Every `u64` below this (2^53) is exactly an `f64`. [`Json::from_u64`]
+/// writes larger values as decimal strings and [`Json::as_u64`] reads
+/// them back, so seeds anywhere in `u64` survive a round trip.
+const EXACT_U64_LIMIT: u64 = 1 << 53;
+
 /// A JSON value. Objects keep insertion order (serialization must be
-/// deterministic); numbers are `f64` (counters stay well under 2^53).
+/// deterministic); numbers are `f64`, so `u64`s of 2^53 and more travel
+/// as decimal strings (see [`Json::from_u64`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -63,10 +69,18 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer (rejects fractions).
+    /// The value as a non-negative integer: a whole number below 2^53,
+    /// or the decimal string [`Json::from_u64`] writes for larger
+    /// values (digits only, no leading zero, at least 2^53). Rejects
+    /// fractions and every other form.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9e15 => Some(*n as u64),
+            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < EXACT_U64_LIMIT as f64 => {
+                Some(*n as u64)
+            }
+            Json::Str(s) if s.bytes().all(|b| b.is_ascii_digit()) && !s.starts_with('0') => {
+                s.parse().ok().filter(|&v| v >= EXACT_U64_LIMIT)
+            }
             _ => None,
         }
     }
@@ -94,9 +108,14 @@ impl Json {
         out
     }
 
-    /// Wraps a `u64` counter (exact for values `< 2^53`).
+    /// Wraps a `u64` exactly: a number below 2^53, the decimal string
+    /// otherwise (an `f64` would round it). [`Json::as_u64`] reads both.
     pub fn from_u64(v: u64) -> Json {
-        Json::Num(v as f64)
+        if v < EXACT_U64_LIMIT {
+            Json::Num(v as f64)
+        } else {
+            Json::Str(v.to_string())
+        }
     }
 
     /// Wraps an array of `u64`s.
@@ -424,6 +443,42 @@ mod tests {
         for x in [0.1, 1.0 / 3.0, 2.0_f64.powi(-60), 83.409_778_935_387_44] {
             let s = Json::Num(x).to_string_compact();
             assert_eq!(parse(&s).unwrap().as_f64().unwrap().to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn every_u64_round_trips_exactly() {
+        let limit = EXACT_U64_LIMIT;
+        for v in [
+            0,
+            7,
+            9_000_000_000_000_001,
+            limit - 1,
+            limit,
+            limit + 1,
+            u64::MAX,
+        ] {
+            let text = Json::from_u64(v).to_string_compact();
+            assert_eq!(parse(&text).unwrap().as_u64(), Some(v), "{v} -> {text}");
+        }
+        assert_eq!(Json::from_u64(limit - 1), Json::Num((limit - 1) as f64));
+        assert_eq!(
+            Json::from_u64(u64::MAX).to_string_compact(),
+            r#""18446744073709551615""#
+        );
+        // One rendering per value: small values only as numbers, large
+        // ones only as canonical digit strings.
+        for bad in [
+            r#""7""#,
+            r#""09007199254740993""#,
+            r#""+9007199254740993""#,
+            r#""18446744073709551616""#,
+            r#""""#,
+            "9007199254740992",
+            "-1",
+            "1.5",
+        ] {
+            assert_eq!(parse(bad).unwrap().as_u64(), None, "{bad}");
         }
     }
 

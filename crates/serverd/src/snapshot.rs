@@ -607,6 +607,29 @@ mod tests {
     }
 
     #[test]
+    fn seeds_beyond_two_to_the_53_round_trip_and_restore() {
+        let mut d = Daemon::new(Config {
+            seed: u64::MAX,
+            faults: Some(paotr_faults::FaultSpec {
+                seed: u64::MAX - 1,
+                ..paotr_faults::FaultSpec::default()
+            }),
+            ..Config::default()
+        })
+        .unwrap();
+        d.register("AVG(A,8) < 0.5 OR MAX(B,4) > 0.0", 1.0).unwrap();
+        d.run_ticks(10).unwrap();
+        let snap = d.snapshot();
+        let once = snap.render();
+        let reparsed = Snapshot::parse(&once).unwrap();
+        assert_eq!(reparsed.config.seed, u64::MAX);
+        assert_eq!(reparsed.config.faults.unwrap().seed, u64::MAX - 1);
+        assert_eq!(reparsed.render(), once, "round trip must be byte-identical");
+        let mut restored = Daemon::from_snapshot(&reparsed).unwrap();
+        assert_eq!(d.run_ticks(10).unwrap(), restored.run_ticks(10).unwrap());
+    }
+
+    #[test]
     fn restore_continues_counters_exactly() {
         let d = populated_daemon();
         let before = d.telemetry().clone();

@@ -8,7 +8,6 @@
 //! items a pull must pay for — the heart of the shared-streams cost model.
 
 use paotr_core::stream::StreamId;
-use std::collections::BTreeSet;
 
 /// What happens to memory between consecutive query evaluations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,17 +28,19 @@ pub enum MemoryPolicy {
     Arranged,
 }
 
-/// Per-stream sets of held item timestamps.
+/// Per-stream sets of held item timestamps, each a sorted `Vec<u64>`
+/// without duplicates. Unlike tree nodes, a cleared or pruned vector
+/// keeps its capacity, so a steady-state tick allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceMemory {
-    held: Vec<BTreeSet<u64>>,
+    held: Vec<Vec<u64>>,
 }
 
 impl DeviceMemory {
     /// Creates memory for `n_streams` streams.
     pub fn new(n_streams: usize) -> DeviceMemory {
         DeviceMemory {
-            held: vec![BTreeSet::new(); n_streams],
+            held: vec![Vec::new(); n_streams],
         }
     }
 
@@ -48,6 +49,14 @@ impl DeviceMemory {
     /// start of time are clipped to the items that exist.
     fn window_start(now: u64, window: u32) -> u64 {
         now.saturating_sub(u64::from(window) - 1).max(1)
+    }
+
+    /// Index range of the held items of `set` within `lo..=hi`.
+    fn span(set: &[u64], lo: u64, hi: u64) -> (usize, usize) {
+        (
+            set.partition_point(|&t| t < lo),
+            set.partition_point(|&t| t <= hi),
+        )
     }
 
     /// Number of items of stream `k` that a window of `window` items
@@ -60,8 +69,8 @@ impl DeviceMemory {
         }
         let lo = Self::window_start(now, window);
         let requested = (now - lo + 1) as u32;
-        let have = self.held[k.0].range(lo..=now).count() as u32;
-        requested - have
+        let (a, b) = Self::span(&self.held[k.0], lo, now);
+        requested - (b - a) as u32
     }
 
     /// Records that the window of `window` items ending at `now` has been
@@ -71,17 +80,31 @@ impl DeviceMemory {
             return;
         }
         let lo = Self::window_start(now, window);
-        for t in lo..=now {
-            self.held[k.0].insert(t);
+        let set = &mut self.held[k.0];
+        let (a, b) = Self::span(set, lo, now);
+        let wanted = (now - lo + 1) as usize;
+        if b - a == wanted {
+            return;
+        }
+        // Widen the held run `a..b` to the whole window in place: shift
+        // the tail right, then restamp the gap.
+        let len = set.len();
+        let grow = wanted - (b - a);
+        set.resize(len + grow, 0);
+        set.copy_within(b..len, b + grow);
+        for (slot, t) in set[a..a + wanted].iter_mut().zip(lo..=now) {
+            *slot = t;
         }
     }
 
     /// Drops items of stream `k` older than `horizon` (exclusive).
     pub fn prune(&mut self, k: StreamId, horizon: u64) {
-        self.held[k.0] = self.held[k.0].split_off(&horizon);
+        let set = &mut self.held[k.0];
+        let cut = set.partition_point(|&t| t < horizon);
+        set.drain(..cut);
     }
 
-    /// Forgets everything.
+    /// Forgets everything (keeping every stream's capacity).
     pub fn clear(&mut self) {
         for set in &mut self.held {
             set.clear();

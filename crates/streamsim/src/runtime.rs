@@ -6,7 +6,7 @@
 //! `paotr_serverd` daemon — runs on the three pieces of this module:
 //!
 //! * [`StreamSource`] — the read interface a stream must offer the
-//!   executor (`now` + `recent`), implemented by the sensor-backed
+//!   executor (`now` + `recent_into`), implemented by the sensor-backed
 //!   [`SimStream`] and by anything else that can serve windows;
 //! * [`Scheduler`] — the tick-driven pull scheduler: executes any set
 //!   of `(SimQuery, DnfSchedule)` pairs against **one shared
@@ -41,13 +41,19 @@ use std::borrow::Borrow;
 /// and a window pull. Advancement (producing items) stays with the
 /// owner — the serving loop, the simulation pipeline — so data stays
 /// deterministic under one seed regardless of how it is executed.
+///
+/// Window reads fill a caller-owned buffer instead of returning a fresh
+/// `Vec`: the scheduler reuses one buffer for every leaf it evaluates,
+/// so a steady-state tick allocates nothing.
 pub trait StreamSource {
     /// Timestamp of the most recent item (items are stamped 1, 2, ...;
     /// 0 means nothing has been produced yet).
     fn now(&self) -> u64;
 
-    /// The last `n` items, newest first; `None` while fewer exist.
-    fn recent(&self, n: usize) -> Option<Vec<f64>>;
+    /// Replaces the contents of `buf` with the last `n` items, newest
+    /// first, and returns true; returns false (leaving `buf` cleared)
+    /// while fewer than `n` items exist.
+    fn recent_into(&self, n: usize, buf: &mut Vec<f64>) -> bool;
 
     /// Whether the stream is in a hard outage right now. A source in
     /// outage cannot be contacted at all: pulls fail without charge and
@@ -56,21 +62,24 @@ pub trait StreamSource {
         false
     }
 
-    /// One *sensor contact* attempt for the last `n` items. Unlike
-    /// [`StreamSource::recent`] (a read of data already on the device),
-    /// this models going out to the radio and may fail: decorators such
-    /// as `paotr_faults::FaultySource` inject [`ReadAttempt::Transient`]
-    /// and [`ReadAttempt::Outage`] keyed on `(stream, now, attempt)` so
-    /// a replay under the same fault plan fails identically. The
-    /// default implementation never fails.
-    fn try_recent(&self, n: usize, attempt: u32) -> ReadAttempt {
+    /// One *sensor contact* attempt for the last `n` items, written to
+    /// `buf` on [`ReadAttempt::Data`] (`buf` is cleared otherwise).
+    /// Unlike [`StreamSource::recent_into`] (a read of data already on
+    /// the device), this models going out to the radio and may fail:
+    /// decorators such as `paotr_faults::FaultySource` inject
+    /// [`ReadAttempt::Transient`] and [`ReadAttempt::Outage`] keyed on
+    /// `(stream, now, attempt)` so a replay under the same fault plan
+    /// fails identically. The default implementation never fails.
+    fn try_recent_into(&self, n: usize, attempt: u32, buf: &mut Vec<f64>) -> ReadAttempt {
         let _ = attempt;
         if self.is_out() {
+            buf.clear();
             return ReadAttempt::Outage;
         }
-        match self.recent(n) {
-            Some(data) => ReadAttempt::Data(data),
-            None => ReadAttempt::Cold,
+        if self.recent_into(n, buf) {
+            ReadAttempt::Data
+        } else {
+            ReadAttempt::Cold
         }
     }
 }
@@ -80,16 +89,17 @@ impl StreamSource for SimStream {
         SimStream::now(self)
     }
 
-    fn recent(&self, n: usize) -> Option<Vec<f64>> {
-        SimStream::recent(self, n)
+    fn recent_into(&self, n: usize, buf: &mut Vec<f64>) -> bool {
+        SimStream::recent_into(self, n, buf)
     }
 }
 
-/// Outcome of one sensor-contact attempt ([`StreamSource::try_recent`]).
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of one sensor-contact attempt
+/// ([`StreamSource::try_recent_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadAttempt {
-    /// The window, newest first.
-    Data(Vec<f64>),
+    /// The window arrived in the caller's buffer, newest first.
+    Data,
     /// The stream has not produced enough items yet (a programming
     /// error in this workspace — streams are warmed before serving).
     Cold,
@@ -123,8 +133,10 @@ impl Verdict {
     }
 }
 
-/// Result of one query evaluation.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of one query evaluation. Per-stream item counts live on the
+/// [`EnergyMeter`] ([`EnergyMeter::items_pulled`]), which counts
+/// exactly the items each evaluation paid for.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOutcome {
     /// Truth value of the query (`verdict == True`; `Unknown` reads as
     /// false here, so fault-free runs are unchanged).
@@ -147,8 +159,6 @@ pub struct QueryOutcome {
     pub cost: f64,
     /// Leaves actually evaluated.
     pub evaluated: usize,
-    /// Items pulled per stream during this evaluation.
-    pub items_pulled: Vec<u32>,
 }
 
 impl QueryOutcome {
@@ -278,6 +288,11 @@ impl EnergyMeter {
 /// an [`ArrangementStore`]: leaves whose pull a current arrangement
 /// covers are served from the maintained ring instead of charging the
 /// meter.
+///
+/// The scheduler also owns the scratch every tick reuses — per-term
+/// evaluation state, one window buffer and the [`MemoryPolicy::Retain`]
+/// horizons — so once their capacities have grown to the largest query
+/// and window seen, a tick allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     memory: DeviceMemory,
@@ -285,6 +300,28 @@ pub struct Scheduler {
     arrangements: Option<ArrangementStore>,
     max_attempts: u32,
     stale_fallback: bool,
+    terms: Vec<TermState>,
+    window: Vec<f64>,
+    horizons: Vec<u32>,
+}
+
+/// Evaluation state of one DNF term in [`Scheduler::run_query`]. Two
+/// truth lattices per term: the *live* one counts only leaves evaluated
+/// on real data and determines fault-free-equivalent verdicts; the
+/// *degraded* one additionally folds in stale-ring answers and is
+/// consulted only when the live lattice ends undetermined.
+#[derive(Debug, Clone, Copy, Default)]
+struct TermState {
+    /// Leaves not yet evaluated.
+    remaining: usize,
+    /// A live leaf evaluated false.
+    failed: bool,
+    /// Unreadable leaves (unknown in the live lattice).
+    live_unknown: usize,
+    /// A live or stale leaf evaluated false.
+    deg_failed: bool,
+    /// Unreadable leaves no stale ring could answer.
+    deg_unknown: usize,
 }
 
 impl Scheduler {
@@ -296,19 +333,18 @@ impl Scheduler {
             arrangements: None,
             max_attempts: 1,
             stale_fallback: false,
+            terms: Vec::new(),
+            window: Vec::new(),
+            horizons: Vec::new(),
         }
     }
 
     /// A scheduler serving pulls from `store` where possible
     /// ([`MemoryPolicy::Arranged`]).
     pub fn with_arrangements(n_streams: usize, store: ArrangementStore) -> Scheduler {
-        Scheduler {
-            memory: DeviceMemory::new(n_streams),
-            policy: MemoryPolicy::Arranged,
-            arrangements: Some(store),
-            max_attempts: 1,
-            stale_fallback: false,
-        }
+        let mut scheduler = Scheduler::new(n_streams, MemoryPolicy::Arranged);
+        scheduler.arrangements = Some(store);
+        scheduler
     }
 
     /// Configures fault handling: up to `max_attempts` sensor contacts
@@ -382,12 +418,14 @@ impl Scheduler {
             // An out stream cannot be contacted: its arrangements fall
             // behind and catch up (capped at the ring width) once the
             // outage lifts. Their stale contents stay servable through
-            // `serve_stale` in the meantime.
+            // `serve_stale_into` in the meantime.
             if stream.is_out() {
                 continue;
             }
             let k = StreamId(i);
-            let fetched = store.maintain(k, stream.now(), |n| stream.recent(n));
+            let fetched = store.maintain(k, stream.now(), &mut self.window, |n, buf| {
+                stream.recent_into(n, buf)
+            });
             if fetched > 0 {
                 meter.charge_maintenance(k, fetched);
             }
@@ -397,6 +435,8 @@ impl Scheduler {
     /// Applies the memory policy for the evaluation of `queries` at the
     /// current tick: clear everything, or ([`MemoryPolicy::Retain`])
     /// prune items older than the set's per-stream relevance horizon.
+    /// `queries` may be queries, references, or the
+    /// `(query, schedule)` pairs [`Scheduler::run_tick`] takes.
     pub fn begin_tick<Q: Borrow<SimQuery>, S: StreamSource>(
         &mut self,
         queries: &[Q],
@@ -406,13 +446,16 @@ impl Scheduler {
             self.memory.clear();
             return;
         }
-        let mut horizons = vec![0u32; streams.len()];
-        for q in queries {
-            for (k, &w) in q.borrow().max_windows(streams.len()).iter().enumerate() {
-                horizons[k] = horizons[k].max(w);
-            }
+        self.horizons.clear();
+        self.horizons.resize(streams.len(), 0);
+        for leaf in queries
+            .iter()
+            .flat_map(|q| q.borrow().terms().iter().flatten())
+        {
+            let h = &mut self.horizons[leaf.stream.0];
+            *h = (*h).max(leaf.predicate.window);
         }
-        for (k, &w) in horizons.iter().enumerate() {
+        for (k, &w) in self.horizons.iter().enumerate() {
             if w > 0 {
                 let now = streams[k].now();
                 let horizon = now.saturating_sub(u64::from(w) - 1);
@@ -428,7 +471,7 @@ impl Scheduler {
     /// policy — or use [`Scheduler::run_tick`], which sequences a whole
     /// tick.
     ///
-    /// Under fault injection (sources whose [`StreamSource::try_recent`]
+    /// Under fault injection (sources whose [`StreamSource::try_recent_into`]
     /// can fail) evaluation is three-valued: an unreadable leaf becomes
     /// `unknown` instead of aborting. Because the DNF is monotone, the
     /// query still resolves whenever the *live* leaves determine it — a
@@ -458,19 +501,14 @@ impl Scheduler {
             query.num_leaves(),
             "schedule does not cover the query's leaves"
         );
-        let n_terms = query.terms().len();
-        // Two truth lattices per term. The *live* lattice only counts
-        // leaves evaluated on real data and is what determines
-        // fault-free-equivalent verdicts; the *degraded* lattice
-        // additionally folds in stale-ring answers and is consulted
-        // only when the live lattice ends undetermined.
-        let mut term_failed = vec![false; n_terms];
-        let mut remaining: Vec<usize> = query.terms().iter().map(Vec::len).collect();
-        let mut live_unknown = vec![0usize; n_terms];
-        let mut deg_failed = vec![false; n_terms];
-        let mut deg_unknown = vec![0usize; n_terms];
-        let mut alive = n_terms;
-        let mut items_pulled = vec![0u32; streams.len()];
+        let terms = &mut self.terms;
+        terms.clear();
+        terms.extend(query.terms().iter().map(|t| TermState {
+            remaining: t.len(),
+            ..TermState::default()
+        }));
+        let buf = &mut self.window;
+        let mut alive = terms.len();
         let mut cost = 0.0;
         let mut evaluated = 0;
         let mut retries = 0u32;
@@ -481,7 +519,8 @@ impl Scheduler {
         let mut decided = false;
 
         for &r in schedule.order() {
-            if term_failed[r.term] || remaining[r.term] == 0 {
+            let term = &mut terms[r.term];
+            if term.failed || term.remaining == 0 {
                 continue;
             }
             let leaf = query.leaf(r);
@@ -491,60 +530,57 @@ impl Scheduler {
             let window = leaf.predicate.window;
             let mut missing = self.memory.missing(k, now, window);
             let mut pull_cost = 0.0;
-            // `data` is the leaf's *live* window: from a current
-            // arrangement, a (possibly retried) sensor contact, or —
-            // when nothing is missing — the copy already on the device.
-            let data: Option<Vec<f64>> =
-                if missing > 0 {
-                    // A current arrangement substitutes for the paid pull:
-                    // the maintained items already sit on the device.
-                    let mut data = self
-                        .arrangements
-                        .as_mut()
-                        .and_then(|store| store.serve(k, now, window));
-                    if data.is_some() {
-                        missing = 0;
-                    } else {
-                        // Sensor contact required — the only point where
-                        // injected faults can bite.
-                        let mut attempt = 0u32;
-                        loop {
-                            match stream.try_recent(window as usize, attempt) {
-                                ReadAttempt::Data(d) => {
-                                    pull_cost += meter.charge(k, missing);
-                                    data = Some(d);
-                                    break;
-                                }
-                                ReadAttempt::Cold => {
-                                    panic!("stream {k} too cold for a {window}-item window")
-                                }
-                                ReadAttempt::Outage => break,
-                                ReadAttempt::Transient => {
-                                    // The failed contact still burnt a
-                                    // pull's worth of energy.
-                                    pull_cost += meter.charge_retry(k, missing);
-                                    retries += 1;
-                                    attempt += 1;
-                                    if attempt >= self.max_attempts {
-                                        break;
-                                    }
+            // `live` = `buf` holds the leaf's live window: from a current
+            // arrangement, a (possibly retried) sensor contact, or — when
+            // nothing is missing — the copy already on the device.
+            let live = if missing > 0 {
+                // A current arrangement substitutes for the paid pull:
+                // the maintained items already sit on the device.
+                if self
+                    .arrangements
+                    .as_mut()
+                    .is_some_and(|store| store.serve_into(k, now, window, buf))
+                {
+                    missing = 0;
+                    true
+                } else {
+                    // Sensor contact required — the only point where
+                    // injected faults can bite.
+                    let mut attempt = 0u32;
+                    loop {
+                        match stream.try_recent_into(window as usize, attempt, buf) {
+                            ReadAttempt::Data => {
+                                pull_cost += meter.charge(k, missing);
+                                break true;
+                            }
+                            ReadAttempt::Cold => {
+                                panic!("stream {k} too cold for a {window}-item window")
+                            }
+                            ReadAttempt::Outage => break false,
+                            ReadAttempt::Transient => {
+                                // The failed contact still burnt a
+                                // pull's worth of energy.
+                                pull_cost += meter.charge_retry(k, missing);
+                                retries += 1;
+                                attempt += 1;
+                                if attempt >= self.max_attempts {
+                                    break false;
                                 }
                             }
                         }
                     }
-                    data
-                } else {
-                    Some(stream.recent(window as usize).unwrap_or_else(|| {
-                        panic!("stream {k} too cold for a {window}-item window")
-                    }))
-                };
+                }
+            } else if stream.recent_into(window as usize, buf) {
+                true
+            } else {
+                panic!("stream {k} too cold for a {window}-item window")
+            };
             cost += pull_cost;
             evaluated += 1;
-            remaining[r.term] -= 1;
-            if let Some(data) = data {
-                items_pulled[k.0] += missing;
+            term.remaining -= 1;
+            if live {
                 self.memory.insert_window(k, now, window);
-                let truth = leaf.predicate.eval(&data);
+                let truth = leaf.predicate.eval(buf);
                 if let Some(t) = trace.as_deref_mut() {
                     t.push(LeafRecord {
                         tick: now,
@@ -555,14 +591,14 @@ impl Scheduler {
                     });
                 }
                 if truth {
-                    if remaining[r.term] == 0 && live_unknown[r.term] == 0 {
+                    if term.remaining == 0 && term.live_unknown == 0 {
                         verdict = Verdict::True;
                         decided = true;
                         break;
                     }
                 } else {
-                    term_failed[r.term] = true;
-                    deg_failed[r.term] = true;
+                    term.failed = true;
+                    term.deg_failed = true;
                     alive -= 1;
                     if alive == 0 {
                         verdict = Verdict::False;
@@ -575,23 +611,23 @@ impl Scheduler {
                 // memory insert (nothing arrived), no trace record
                 // (drift estimation must only see live observations).
                 failed_reads += 1;
-                live_unknown[r.term] += 1;
+                term.live_unknown += 1;
                 let stale = if self.stale_fallback {
                     self.arrangements
                         .as_ref()
-                        .and_then(|store| store.serve_stale(k, now, window))
+                        .and_then(|store| store.serve_stale_into(k, now, window, buf))
                 } else {
                     None
                 };
                 match stale {
-                    Some((data, age)) => {
+                    Some(age) => {
                         stale_leaves += 1;
                         staleness = staleness.max(age);
-                        if !leaf.predicate.eval(&data) {
-                            deg_failed[r.term] = true;
+                        if !leaf.predicate.eval(buf) {
+                            term.deg_failed = true;
                         }
                     }
-                    None => deg_unknown[r.term] += 1,
+                    None => term.deg_unknown += 1,
                 }
             }
         }
@@ -601,9 +637,10 @@ impl Scheduler {
             // The live lattice ended undetermined (a live determination
             // would have broken out above). Try the degraded lattice:
             // same monotone-DNF rules with stale answers filled in.
-            let deg_true =
-                (0..n_terms).any(|t| !term_failed[t] && !deg_failed[t] && deg_unknown[t] == 0);
-            let deg_false = (0..n_terms).all(|t| term_failed[t] || deg_failed[t]);
+            let deg_true = terms
+                .iter()
+                .any(|t| !t.failed && !t.deg_failed && t.deg_unknown == 0);
+            let deg_false = terms.iter().all(|t| t.failed || t.deg_failed);
             if deg_true {
                 verdict = Verdict::True;
                 degraded = true;
@@ -624,15 +661,16 @@ impl Scheduler {
             failed_reads,
             cost,
             evaluated,
-            items_pulled,
         }
     }
 
     /// Executes a whole tick: one [`Scheduler::maintain_tick`] round
     /// (a no-op without a store), then every `(query, schedule)` pair in
-    /// order. Each outcome's [`QueryOutcome::live_leaves`] records are
-    /// appended to `trace` in execution order, so the trace splits back
-    /// into per-evaluation slices.
+    /// order, replacing the contents of `outcomes` with one outcome per
+    /// pair (the caller's buffer, reused across ticks). Each outcome's
+    /// [`QueryOutcome::live_leaves`] records are appended to `trace` in
+    /// execution order, so the trace splits back into per-evaluation
+    /// slices.
     ///
     /// With `shared = true` the memory policy is applied once for the
     /// whole set and all queries run against one shared memory — items
@@ -651,21 +689,28 @@ impl Scheduler {
         shared: bool,
         meter: &mut EnergyMeter,
         mut trace: Option<&mut TraceLog>,
-    ) -> Vec<QueryOutcome> {
+        outcomes: &mut Vec<QueryOutcome>,
+    ) {
         self.maintain_tick(streams, meter);
         if shared {
-            let all: Vec<&SimQuery> = queries.iter().map(|(q, _)| *q).collect();
-            self.begin_tick(&all, streams);
+            self.begin_tick(queries, streams);
         }
-        queries
-            .iter()
-            .map(|(query, schedule)| {
-                if !shared {
-                    self.begin_tick(std::slice::from_ref(query), streams);
-                }
-                self.run_query(query, schedule, streams, meter, trace.as_deref_mut())
-            })
-            .collect()
+        outcomes.clear();
+        for (query, schedule) in queries {
+            if !shared {
+                self.begin_tick(std::slice::from_ref(query), streams);
+            }
+            outcomes.push(self.run_query(query, schedule, streams, meter, trace.as_deref_mut()));
+        }
+    }
+}
+
+/// Lets [`Scheduler::begin_tick`] read the queries of a
+/// [`Scheduler::run_tick`] batch straight from its `(query, schedule)`
+/// pairs, without collecting them into a second slice.
+impl Borrow<SimQuery> for (&SimQuery, &DnfSchedule) {
+    fn borrow(&self) -> &SimQuery {
+        self.0
     }
 }
 
@@ -744,7 +789,8 @@ mod tests {
 
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         let mut m = meter(&[1.0]);
-        let outs = sched.run_tick(&pairs, &streams, true, &mut m, None);
+        let mut outs = Vec::new();
+        sched.run_tick(&pairs, &streams, true, &mut m, None, &mut outs);
         assert_eq!(outs[0].cost, 8.0);
         assert_eq!(outs[1].cost, 0.0, "q0's items are free for q1");
         assert_eq!(m.total_cost(), 8.0);
@@ -752,7 +798,7 @@ mod tests {
 
         let mut sched = Scheduler::new(1, MemoryPolicy::ClearEachQuery);
         let mut m = meter(&[1.0]);
-        let outs = sched.run_tick(&pairs, &streams, false, &mut m, None);
+        sched.run_tick(&pairs, &streams, false, &mut m, None, &mut outs);
         assert_eq!(outs[1].cost, 5.0, "isolated queries repay the pull");
         assert_eq!(m.total_cost(), 13.0);
     }
@@ -804,7 +850,7 @@ mod tests {
             let p = plain.run_query(&query, &schedule, &streams, &mut pm, None);
             assert_eq!(a.value, p.value, "tick {tick}: truth must not change");
             assert_eq!(a.cost, 0.0, "arranged evaluation pays no pull");
-            assert_eq!(a.items_pulled, vec![0]);
+            assert_eq!(am.items_pulled(), &[0]);
             streams[0].advance_by(1, &mut rng);
         }
 
@@ -836,8 +882,13 @@ mod tests {
         let mut m = meter(&[1.0]);
         sched.maintain_tick(&streams, &mut m);
         sched.begin_tick(std::slice::from_ref(&query), &streams);
-        let out = sched.run_query(&query, &schedule, &streams, &mut m, None);
-        assert_eq!(out.items_pulled, vec![8], "4-item ring cannot serve 8");
+        let before = m.items_pulled()[0];
+        sched.run_query(&query, &schedule, &streams, &mut m, None);
+        assert_eq!(
+            m.items_pulled()[0] - before,
+            8,
+            "4-item ring cannot serve 8"
+        );
         assert_eq!(m.items_maintained(), &[4]);
     }
 
@@ -854,24 +905,26 @@ mod tests {
             self.inner.now()
         }
 
-        fn recent(&self, n: usize) -> Option<Vec<f64>> {
-            self.inner.recent(n)
+        fn recent_into(&self, n: usize, buf: &mut Vec<f64>) -> bool {
+            self.inner.recent_into(n, buf)
         }
 
         fn is_out(&self) -> bool {
             self.out
         }
 
-        fn try_recent(&self, n: usize, attempt: u32) -> ReadAttempt {
+        fn try_recent_into(&self, n: usize, attempt: u32, buf: &mut Vec<f64>) -> ReadAttempt {
+            buf.clear();
             if self.out {
                 return ReadAttempt::Outage;
             }
             if attempt < self.fail_first {
                 return ReadAttempt::Transient;
             }
-            match self.recent(n) {
-                Some(data) => ReadAttempt::Data(data),
-                None => ReadAttempt::Cold,
+            if self.recent_into(n, buf) {
+                ReadAttempt::Data
+            } else {
+                ReadAttempt::Cold
             }
         }
     }
@@ -941,7 +994,7 @@ mod tests {
         assert!(!out.degraded);
         assert_eq!(out.failed_reads, 1);
         assert_eq!(out.cost, 4.0, "only B's pull is paid; outages are free");
-        assert_eq!(out.items_pulled, vec![0, 4]);
+        assert_eq!(m.items_pulled(), &[0, 4]);
 
         // B false -> A's outage leaves the verdict open.
         let streams = vec![mk(50.0, true), mk(90.0, false)];
@@ -1020,7 +1073,8 @@ mod tests {
         sched.set_fault_policy(2, false);
         let mut m = meter(&[1.0, 1.0, 1.0]);
         let mut trace = TraceLog::default();
-        let outs = sched.run_tick(&pairs, &streams, true, &mut m, Some(&mut trace));
+        let mut outs = Vec::new();
+        sched.run_tick(&pairs, &streams, true, &mut m, Some(&mut trace), &mut outs);
 
         assert_eq!(outs[0].retries, 1, "stream 0's first contact failed");
         assert_eq!(
@@ -1071,8 +1125,9 @@ mod tests {
         let mut wm = meter(&[1.0, 2.0]);
         let mut mm = meter(&[1.0, 2.0]);
 
+        let mut a = Vec::new();
         for tick in 0..6 {
-            let a = whole.run_tick(&pairs, &streams, true, &mut wm, None);
+            whole.run_tick(&pairs, &streams, true, &mut wm, None, &mut a);
             manual.maintain_tick(&streams, &mut mm);
             manual.begin_tick(&queries, &streams);
             let b: Vec<QueryOutcome> = pairs

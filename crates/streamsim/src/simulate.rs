@@ -127,13 +127,9 @@ pub fn run_pipeline(
     // Phase 4: measure with a fresh meter.
     let mut engine = Engine::new(catalog.len(), config.policy, energy);
     let mut truths = 0usize;
-    let mut items = vec![0u64; catalog.len()];
     for _ in 0..config.measure_evaluations {
         let out = engine.evaluate(query, &schedule, &streams, None);
         truths += usize::from(out.value);
-        for (acc, &n) in items.iter_mut().zip(&out.items_pulled) {
-            *acc += u64::from(n);
-        }
         for s in &mut streams {
             s.advance_by(config.ticks_between, &mut rng);
         }
@@ -142,7 +138,7 @@ pub fn run_pipeline(
     PipelineReport {
         mean_cost: engine.total_cost() / config.measure_evaluations.max(1) as f64,
         truth_rate: truths as f64 / config.measure_evaluations.max(1) as f64,
-        items_pulled: items,
+        items_pulled: engine.items_pulled().to_vec(),
         skeleton,
         schedule,
         estimated_probs,

@@ -74,10 +74,21 @@ impl SimStream {
     /// Returns `None` when fewer than `n` items exist — predicates on a
     /// cold stream cannot be evaluated yet.
     pub fn recent(&self, n: usize) -> Option<Vec<f64>> {
+        let mut window = Vec::new();
+        self.recent_into(n, &mut window).then_some(window)
+    }
+
+    /// [`SimStream::recent`] into a caller-owned buffer: replaces the
+    /// contents of `buf` with the last `n` items, newest first, and
+    /// returns true; returns false (leaving `buf` cleared) when fewer
+    /// than `n` items exist. Allocates only when `buf` must grow.
+    pub fn recent_into(&self, n: usize, buf: &mut Vec<f64>) -> bool {
+        buf.clear();
         if self.history.len() < n {
-            return None;
+            return false;
         }
-        Some(self.history.iter().rev().take(n).copied().collect())
+        buf.extend(self.history.iter().rev().take(n));
+        true
     }
 
     /// The most recent item, if any.
@@ -126,6 +137,26 @@ mod tests {
         assert!((r[0] - 0.0).abs() < 1e-9, "newest first: {r:?}");
         assert!((r[1] - 1.0).abs() < 1e-9);
         assert!((r[2] - 0.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn recent_into_replaces_the_buffer_with_the_window() {
+        let mut s = SimStream::new(
+            SensorSource::new(SensorModel::RandomWalk {
+                start: 0.0,
+                step: 1.0,
+                min: -100.0,
+                max: 100.0,
+            }),
+            8,
+        );
+        let mut rng = StdRng::seed_from_u64(4);
+        s.advance_by(6, &mut rng);
+        let mut buf = vec![9.0; 10];
+        assert!(s.recent_into(4, &mut buf));
+        assert_eq!(Some(buf.clone()), s.recent(4));
+        assert!(!s.recent_into(7, &mut buf), "only 6 items exist");
+        assert!(buf.is_empty());
     }
 
     #[test]

@@ -2,7 +2,39 @@
 
 use paotr_core::stream::StreamId;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use stream_sim::{Comparator, DeviceMemory, Predicate, WindowOp};
+
+/// Reference model of [`DeviceMemory`]: one `BTreeSet` of held
+/// timestamps per stream, with the window arithmetic written out
+/// directly.
+struct Model {
+    held: Vec<BTreeSet<u64>>,
+}
+
+impl Model {
+    fn window(now: u64, window: u32) -> std::ops::RangeInclusive<u64> {
+        now.saturating_sub(u64::from(window) - 1).max(1)..=now
+    }
+
+    fn missing(&self, k: usize, now: u64, window: u32) -> u32 {
+        if now == 0 {
+            return 0;
+        }
+        let w = Self::window(now, window);
+        w.clone().filter(|t| !self.held[k].contains(t)).count() as u32
+    }
+
+    fn insert_window(&mut self, k: usize, now: u64, window: u32) {
+        if now > 0 {
+            self.held[k].extend(Self::window(now, window));
+        }
+    }
+
+    fn prune(&mut self, k: usize, horizon: u64) {
+        self.held[k].retain(|&t| t >= horizon);
+    }
+}
 
 proptest! {
     /// Device memory: after inserting a window ending at `now`, nothing in
@@ -83,6 +115,44 @@ proptest! {
         let gt2 = Predicate::new(WindowOp::Max, w, Comparator::Gt, t1);
         if gt1.eval(&window) {
             prop_assert!(gt2.eval(&window));
+        }
+    }
+
+    /// Model-based check: random `insert_window` / `prune` / `clear`
+    /// sequences on two streams, with timestamps free to jump back and
+    /// forth, leave the sorted-vector memory answering every `missing`
+    /// and `held_count` query exactly like the `BTreeSet` model.
+    #[test]
+    fn memory_matches_the_btreeset_model(
+        ops in prop::collection::vec((0u8..8, 0usize..2, 0u64..120, 1u32..40), 1..80),
+    ) {
+        let mut mem = DeviceMemory::new(2);
+        let mut model = Model { held: vec![BTreeSet::new(); 2] };
+        for (op, k, now, w) in ops {
+            match op {
+                0..=3 => {
+                    mem.insert_window(StreamId(k), now, w);
+                    model.insert_window(k, now, w);
+                }
+                4 | 5 => {
+                    mem.prune(StreamId(k), now);
+                    model.prune(k, now);
+                }
+                6 => {
+                    mem.clear();
+                    model.held.iter_mut().for_each(BTreeSet::clear);
+                }
+                _ => {}
+            }
+            for j in 0..2 {
+                prop_assert_eq!(mem.held_count(StreamId(j)), model.held[j].len());
+                for probe in [now, now + 1, now.saturating_sub(7)] {
+                    prop_assert_eq!(
+                        mem.missing(StreamId(j), probe, w),
+                        model.missing(j, probe, w)
+                    );
+                }
+            }
         }
     }
 }
