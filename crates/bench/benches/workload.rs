@@ -39,7 +39,6 @@ fn bench_planning(c: &mut Criterion) {
         if queries >= 64 {
             let pooled = paotr_multi::SharedGreedyPlanner {
                 threads: paotr_par::ThreadCount::Fixed(4),
-                replan_bound: 0.0,
             };
             group.bench_with_input(
                 BenchmarkId::new("shared-greedy-pool4", queries),

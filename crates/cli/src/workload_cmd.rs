@@ -118,7 +118,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 if p.name() == "shared-greedy" {
                     *p = Box::new(SharedGreedyPlanner {
                         threads: paotr_par::ThreadCount::Fixed(t),
-                        ..Default::default()
                     });
                 }
             }

@@ -377,6 +377,16 @@ pub trait Planner: Send + Sync {
     /// Computes a plan. Returns [`Error::UnsupportedQuery`] when
     /// [`Planner::supports`] is false for `query`.
     fn plan(&self, query: &QueryRef<'_>, catalog: &StreamCatalog) -> Result<Plan>;
+
+    /// Computes only the body [`Planner::plan`] would return, without
+    /// pricing it. For callers that plan against a throwaway catalog
+    /// (e.g. a cost-discounted copy that only steers the schedule) and
+    /// price the body themselves. Planners whose pricing is a separate
+    /// step after the search override this to skip it; the body must
+    /// equal `plan(query, catalog)?.body`.
+    fn schedule(&self, query: &QueryRef<'_>, catalog: &StreamCatalog) -> Result<PlanBody> {
+        self.plan(query, catalog).map(|p| p.body)
+    }
 }
 
 /// Shared helper: the `UnsupportedQuery` error for `planner` on `query`.

@@ -105,6 +105,13 @@ impl Planner for GreedyPlanner {
             started,
         ))
     }
+
+    fn schedule(&self, query: &QueryRef<'_>, catalog: &StreamCatalog) -> Result<PlanBody> {
+        let tree = query
+            .to_and_tree()
+            .ok_or_else(|| unsupported(self, query))?;
+        Ok(PlanBody::And(greedy::schedule_impl(&tree, catalog)))
+    }
 }
 
 /// Greiner's optimal algorithm for read-once DNF trees.
@@ -143,6 +150,13 @@ impl Planner for ReadOnceDnfPlanner {
             Some(cost),
             started,
         ))
+    }
+
+    fn schedule(&self, query: &QueryRef<'_>, catalog: &StreamCatalog) -> Result<PlanBody> {
+        let tree = query
+            .to_dnf_tree()
+            .ok_or_else(|| unsupported(self, query))?;
+        Ok(PlanBody::Dnf(read_once_dnf::schedule_impl(&tree, catalog)))
     }
 }
 
@@ -206,6 +220,13 @@ impl Planner for HeuristicPlanner {
             Some(cost),
             started,
         ))
+    }
+
+    fn schedule(&self, query: &QueryRef<'_>, catalog: &StreamCatalog) -> Result<PlanBody> {
+        let tree = query
+            .to_dnf_tree()
+            .ok_or_else(|| unsupported(self, query))?;
+        Ok(PlanBody::Dnf(self.heuristic.schedule(&tree, catalog)))
     }
 }
 
@@ -500,6 +521,38 @@ mod tests {
                     assert_eq!(plan.planner, format!("leaf-random@seed={seed}"));
                 }
                 _ => assert_eq!(plan.planner, h.id()),
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_returns_the_body_plan_returns() {
+        let (and, and_cat) = fig2();
+        let (dnf, dnf_cat) = shared_dnf();
+        let read_once = DnfTree::from_leaves(vec![
+            vec![leaf(0, 3, 0.4), leaf(1, 1, 0.7)],
+            vec![leaf(2, 2, 0.9)],
+        ])
+        .unwrap();
+        let registry = crate::plan::PlannerRegistry::with_defaults();
+        let cases = [
+            (QueryRef::from(&and), &and_cat),
+            (QueryRef::from(&dnf), &dnf_cat),
+            (QueryRef::from(&read_once), &dnf_cat),
+        ];
+        for (q, cat) in cases {
+            for name in registry.names() {
+                let p = registry.get(name).unwrap();
+                if !p.supports(&q) {
+                    assert!(p.schedule(&q, cat).is_err(), "{name}");
+                    continue;
+                }
+                assert_eq!(
+                    p.schedule(&q, cat).unwrap(),
+                    p.plan(&q, cat).unwrap().body,
+                    "{name} on a {} query",
+                    q.class()
+                );
             }
         }
     }

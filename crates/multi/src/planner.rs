@@ -21,33 +21,38 @@
 //! ## Planning-time engineering
 //!
 //! `shared-greedy` is quadratic in the number of queries (every round
-//! re-scores every remaining candidate). Three levers keep that loop
+//! re-scores every remaining candidate). Five levers keep that loop
 //! fast enough for 128-query workloads:
 //!
 //! * every candidate is priced through a compiled, allocation-free
 //!   [`CostModel`] kernel (per-call work scales with the query's own
 //!   streams, not the catalog);
-//! * per-round candidate evaluation fans out over the **persistent**
+//! * a candidate's evaluation (cost, items, chosen schedule) is a pure
+//!   function of its schedules and the coverage on its own streams, so
+//!   it is kept across rounds and reused, allocation-free, while that
+//!   coverage is bit-equal — only candidates whose streams the last
+//!   winner touched are re-evaluated;
+//! * the coalescing *re-plan* asks the query's default planner for an
+//!   unpriced body ([`Planner::schedule`]) against the discounted
+//!   catalog, bypassing the engine's plan cache (that catalog is thrown
+//!   away); a [`Plan`] is built, priced against the real catalog, only
+//!   for re-plans a [`JointPlan`] commits;
+//! * benefit scoring visits only the waiting queries with demand on the
+//!   candidate's streams — every other term is exactly `+0.0`;
+//! * per-round re-evaluation fans out over the **persistent**
 //!   `paotr_par` worker pool ([`SharedGreedyPlanner::threads`]) with one
-//!   evaluation scratch per worker per round — no thread spawning and no
-//!   per-candidate allocation in the round loop;
-//! * the expensive coalescing *re-plan* of a candidate is cached and
-//!   only recomputed when the coverage on that query's streams moved by
-//!   more than [`SharedGreedyPlanner::replan_bound`] since the cached
-//!   re-plan — with the default bound of `0.0` the cached plan is
-//!   reused exactly when it is provably identical, so results match the
-//!   always-replan loop while skipping its redundant work.
+//!   evaluation scratch per worker per round — no thread spawning.
 
 use crate::cost::{isolated_costs, predict_shared};
-use crate::workload::{extract_schedule, Workload};
+use crate::workload::{body_schedule, extract_schedule, Workload};
 use paotr_core::cost::arrange::{ArrangeTerm, DEFAULT_HORIZON};
 use paotr_core::cost::model::{CostModel, EvalScratch};
 use paotr_core::error::Result;
-use paotr_core::plan::{Engine, Plan};
+use paotr_core::plan::{Engine, Plan, PlanBody, Planner, QueryRef};
 use paotr_core::schedule::DnfSchedule;
 use paotr_core::stream::{StreamCatalog, StreamId};
 use paotr_par::ThreadCount;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The output of joint planning: per-query plans plus the cross-query
@@ -289,29 +294,21 @@ impl WorkloadPlanner for IndependentPlanner {
 /// the coverage benefit they create for the queries still waiting.
 ///
 /// See the module docs for the planning-time levers (`threads`,
-/// `replan_bound`, the [`CostModel`] kernel).
+/// cross-round reuse, sparse scoring, the [`CostModel`] kernel).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharedGreedyPlanner {
     /// Worker threads for per-round candidate evaluation
     /// (`ThreadCount::Auto` by default; results are identical at any
     /// thread count).
     pub threads: ThreadCount,
-    /// A cached coalescing re-plan is reused while the coverage on the
-    /// candidate's streams has moved by at most this many expected items
-    /// since the re-plan ran. `0.0` (default) reuses only provably
-    /// identical re-plans; larger bounds trade plan quality for planning
-    /// time (predicted costs stay exact — only the searched schedule may
-    /// be staler).
-    pub replan_bound: f64,
 }
 
 impl SharedGreedyPlanner {
-    /// Single-threaded, exact-reuse configuration (the reference
-    /// behaviour; useful for deterministic timing comparisons).
+    /// Single-threaded configuration (the reference behaviour; useful
+    /// for deterministic timing comparisons).
     pub fn sequential() -> SharedGreedyPlanner {
         SharedGreedyPlanner {
             threads: ThreadCount::Fixed(1),
-            replan_bound: 0.0,
         }
     }
 
@@ -338,118 +335,157 @@ impl SharedGreedyPlanner {
     }
 }
 
-/// One candidate's exact evaluation for the current round.
-struct CandidateEval {
-    /// Exact predicted cost under the current coverage.
+/// A coalescing re-plan that beat the candidate's default schedule.
+struct Replan {
+    body: PlanBody,
+    sched: Arc<DnfSchedule>,
+    planning_time: Duration,
+}
+
+/// One query's latest exact evaluation as a candidate, kept across
+/// rounds. Everything in it is a pure function of the query's schedules
+/// and the coverage on its own streams, so it stays exact while that
+/// coverage is bit-equal to `seen`. The buffers are sized once per
+/// `plan` call; re-evaluating overwrites them in place.
+struct Candidate {
+    /// Whether the fields below hold an evaluation yet.
+    evaluated: bool,
+    /// Coverage on the query's touched streams at evaluation time.
+    seen: Vec<f64>,
+    /// Exact predicted cost under `seen`.
     cost: f64,
-    /// Expected items pulled, aligned with the query model's touched
-    /// streams.
+    /// Expected items pulled, aligned with the touched streams.
     items: Vec<f64>,
-    plan: Arc<Plan>,
-    sched: Arc<DnfSchedule>,
-    /// A freshly computed coalescing re-plan to cache for later rounds.
-    fresh_replan: Option<ReplanCache>,
+    /// The chosen schedule when it is a re-plan (`None`: the default).
+    replan: Option<Replan>,
 }
 
-/// A cached coalescing re-plan and the coverage it was computed under
-/// (restricted to the query's own streams).
-#[derive(Clone)]
-struct ReplanCache {
-    plan: Arc<Plan>,
-    sched: Arc<DnfSchedule>,
-    cov_snapshot: Vec<f64>,
+/// What candidate evaluation reads, fixed for one `plan` call.
+struct Round<'a> {
+    workload: &'a Workload,
+    base: &'a Baseline,
+    models: &'a [CostModel],
+    max_windows: &'a [Vec<u32>],
+    /// Each query's default planner, which also steers its re-plans.
+    planners: &'a [&'a dyn Planner],
 }
 
-impl SharedGreedyPlanner {
-    /// Exact evaluation of candidate `q` under `coverage`: price the
-    /// default schedule, re-plan (or reuse a cached re-plan) against the
+impl Round<'_> {
+    /// Whether `cand`'s evaluation is still exact under `coverage`.
+    fn is_current(&self, q: usize, cand: &Candidate, coverage: &[f64]) -> bool {
+        cand.evaluated
+            && self.models[q]
+                .touched_streams()
+                .zip(&cand.seen)
+                .all(|(s, seen)| coverage[s.0].to_bits() == seen.to_bits())
+    }
+
+    /// Exact evaluation of candidate `q` under `coverage`, into `cand`:
+    /// price the default schedule, re-plan against the
     /// coverage-discounted catalog, keep the cheaper.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidate(
+    fn evaluate(
+        &self,
         q: usize,
-        workload: &Workload,
-        engine: &Engine,
-        base: &Baseline,
-        model: &CostModel,
-        max_window: &[u32],
+        cand: &mut Candidate,
         coverage: &[f64],
-        cached: Option<&ReplanCache>,
-        replan_bound: f64,
-        catalog_fp: u64,
         scratch: &mut EvalScratch,
-    ) -> Result<CandidateEval> {
-        let catalog = workload.catalog();
-        let tree = &workload.query(q).tree;
-        let cost_a =
-            model.expected_cost_with_coverage(base.schedules[q].order(), coverage, scratch);
-        let items_a: Vec<f64> = model.items_per_stream(scratch).map(|(_, i)| i).collect();
+    ) -> Result<()> {
+        let model = &self.models[q];
+        for (seen, s) in cand.seen.iter_mut().zip(model.touched_streams()) {
+            *seen = coverage[s.0];
+        }
+        cand.evaluated = true;
+        cand.replan = None;
+        cand.cost =
+            model.expected_cost_with_coverage(self.base.schedules[q].order(), coverage, scratch);
+        copy_items(model, scratch, &mut cand.items);
 
         // Re-planning can only help once some of this query's streams
         // are covered (an undiscounted catalog reproduces the default
         // plan).
-        let any_covered = model.touched_streams().any(|s| coverage[s.0] > 0.0);
-        if !any_covered {
-            return Ok(CandidateEval {
-                cost: cost_a,
-                items: items_a,
-                plan: base.plans[q].clone(),
-                sched: base.schedules[q].clone(),
-                fresh_replan: None,
+        if !cand.seen.iter().any(|&c| c > 0.0) {
+            return Ok(());
+        }
+        // The discounted catalog only steers the schedule search, so
+        // the body is computed unpriced and outside the engine's cache.
+        let started = Instant::now();
+        let query = self.workload.query(q);
+        let eff = SharedGreedyPlanner::effective_catalog(
+            &self.max_windows[q],
+            self.workload.catalog(),
+            coverage,
+        );
+        let planner = self.planners[q];
+        let body = planner.schedule(&QueryRef::from(&query.tree), &eff)?;
+        let sched = body_schedule(&body, planner.name(), &query.tree, &query.name)?;
+        let planning_time = started.elapsed();
+        let cost = model.expected_cost_with_coverage(sched.order(), coverage, scratch);
+        if cost < cand.cost - 1e-12 {
+            cand.cost = cost;
+            copy_items(model, scratch, &mut cand.items);
+            cand.replan = Some(Replan {
+                body,
+                sched: Arc::new(sched),
+                planning_time,
             });
         }
-
-        // Candidate B: the coalescing re-plan. Reuse the cached one
-        // while the coverage on this query's streams has not moved by
-        // more than the bound since it was computed; its cost below is
-        // exact either way.
-        let cache_valid = cached.is_some_and(|c| {
-            model
-                .touched_streams()
-                .zip(&c.cov_snapshot)
-                .all(|(s, &snap)| (coverage[s.0] - snap).abs() <= replan_bound)
-        });
-        let (plan_b, sched_b, fresh_replan) = if cache_valid {
-            let c = cached.expect("checked above");
-            (c.plan.clone(), c.sched.clone(), None)
-        } else {
-            let eff = Self::effective_catalog(max_window, catalog, coverage);
-            let mut plan_b = engine.plan(tree, &eff)?;
-            let sched_b = Arc::new(extract_schedule(&plan_b, tree, &workload.query(q).name)?);
-            // Re-price the stored plan against the *real* catalog: the
-            // effective catalog exists only to steer the per-query
-            // planner, and a plan whose expected_cost reflects
-            // discounted stream costs would misreport itself.
-            plan_b.expected_cost = Some(model.expected_cost(&sched_b, scratch));
-            plan_b.catalog_fingerprint = catalog_fp;
-            let plan_b = Arc::new(plan_b);
-            let cov_snapshot: Vec<f64> = model.touched_streams().map(|s| coverage[s.0]).collect();
-            let cache = ReplanCache {
-                plan: plan_b.clone(),
-                sched: sched_b.clone(),
-                cov_snapshot,
-            };
-            (plan_b, sched_b, Some(cache))
-        };
-        let cost_b = model.expected_cost_with_coverage(sched_b.order(), coverage, scratch);
-        if cost_b < cost_a - 1e-12 {
-            let items_b: Vec<f64> = model.items_per_stream(scratch).map(|(_, i)| i).collect();
-            Ok(CandidateEval {
-                cost: cost_b,
-                items: items_b,
-                plan: plan_b,
-                sched: sched_b,
-                fresh_replan,
-            })
-        } else {
-            Ok(CandidateEval {
-                cost: cost_a,
-                items: items_a,
-                plan: base.plans[q].clone(),
-                sched: base.schedules[q].clone(),
-                fresh_replan,
-            })
-        }
+        Ok(())
     }
+
+    /// The committed plan for a re-planned query: the steered body,
+    /// priced against the *real* catalog and stamped with its
+    /// fingerprint (the discounted catalog exists only to steer the
+    /// search; a plan reflecting discounted costs would misreport
+    /// itself).
+    fn replan_plan(
+        &self,
+        q: usize,
+        replan: &Replan,
+        catalog_fp: u64,
+        scratch: &mut EvalScratch,
+    ) -> Plan {
+        let default = &self.base.plans[q];
+        let plan = Plan {
+            body: replan.body.clone(),
+            expected_cost: Some(self.models[q].expected_cost(&replan.sched, scratch)),
+            planner: default.planner.clone(),
+            planning_time: replan.planning_time,
+            query_fingerprint: default.query_fingerprint,
+            catalog_fingerprint: catalog_fp,
+        };
+        #[cfg(debug_assertions)]
+        {
+            let tree = &self.workload.query(q).tree;
+            let violations = paotr_core::plan::verify_plan(
+                &plan,
+                &QueryRef::from(tree),
+                self.workload.catalog(),
+            );
+            assert!(
+                violations.is_empty(),
+                "re-plan of query {q} fails static verification: {violations:?}"
+            );
+        }
+        plan
+    }
+}
+
+/// Copies the last kernel evaluation's per-stream items into `out`
+/// (aligned with the model's touched streams).
+fn copy_items(model: &CostModel, scratch: &EvalScratch, out: &mut [f64]) {
+    for (o, (_, i)) in out.iter_mut().zip(model.items_per_stream(scratch)) {
+        *o = i;
+    }
+}
+
+/// Why a candidate's lock cannot be poisoned: a panicking evaluation
+/// propagates out of the pool and aborts the whole `plan` call.
+const UNPOISONED: &str = "an evaluation that panicked aborted planning";
+
+/// Mutable access to a candidate owned by the planning thread (the
+/// `Mutex` only arbitrates the pool fan-out).
+fn slot(m: &mut Mutex<Candidate>) -> &mut Candidate {
+    m.get_mut().expect(UNPOISONED)
 }
 
 impl WorkloadPlanner for SharedGreedyPlanner {
@@ -485,6 +521,18 @@ impl WorkloadPlanner for SharedGreedyPlanner {
                     .collect()
             })
             .collect();
+        let planners: Vec<&dyn Planner> = workload
+            .queries()
+            .iter()
+            .map(|q| engine.registry().default_for(&QueryRef::from(&q.tree)))
+            .collect::<Result<_>>()?;
+        let round = Round {
+            workload,
+            base: &base,
+            models: &models,
+            max_windows: &max_windows,
+            planners: &planners,
+        };
 
         // Independent per-stream demand of every query, for the benefit
         // estimate (catalog-indexed; only touched entries are non-zero).
@@ -495,60 +543,80 @@ impl WorkloadPlanner for SharedGreedyPlanner {
                 models[q].items_vec(&scratch)
             })
             .collect();
+        // Per candidate, the queries (ascending) with non-zero demand on
+        // one of its streams: every other waiting query adds exactly
+        // `+0.0` to its benefit, so skipping them keeps scores
+        // bit-identical.
+        let partners: Vec<Vec<usize>> = models
+            .iter()
+            .enumerate()
+            .map(|(q, m)| {
+                (0..n)
+                    .filter(|&r| r != q && m.touched_streams().any(|s| demand[r][s.0] > 0.0))
+                    .collect()
+            })
+            .collect();
 
+        let mut candidates: Vec<Mutex<Candidate>> = models
+            .iter()
+            .map(|m| {
+                let touched = m.touched_streams().count();
+                Mutex::new(Candidate {
+                    evaluated: false,
+                    seen: vec![0.0; touched],
+                    cost: 0.0,
+                    items: vec![0.0; touched],
+                    replan: None,
+                })
+            })
+            .collect();
         let mut coverage = vec![0.0f64; catalog.len()];
         let mut remaining: Vec<usize> = (0..n).collect();
+        let mut waiting = vec![true; n];
+        let mut stale: Vec<usize> = Vec::with_capacity(n);
         let mut order = Vec::with_capacity(n);
         let mut plans = base.plans.clone();
         let mut schedules = base.schedules.clone();
         let mut predicted = vec![0.0f64; n];
-        let mut replans: Vec<Option<ReplanCache>> = vec![None; n];
 
         while !remaining.is_empty() {
-            // Phase 1: exact candidate evaluations — independent per
-            // candidate, fanned out over the pool for wide rounds.
-            let evaluate = |&q: &usize, scratch: &mut EvalScratch| {
-                Self::evaluate_candidate(
-                    q,
-                    workload,
-                    engine,
-                    &base,
-                    &models[q],
-                    &max_windows[q],
-                    &coverage,
-                    replans[q].as_ref(),
-                    self.replan_bound,
-                    catalog_fp,
-                    scratch,
-                )
-            };
-            let evals: Vec<CandidateEval> = if workers > 1 && remaining.len() >= 16 {
-                // Persistent pool + one scratch per participating worker
-                // for the whole round (not one per candidate).
-                paotr_par::par_map_init(&remaining, self.threads, EvalScratch::new, |q, scratch| {
-                    evaluate(q, scratch)
-                })
-                .into_iter()
-                .collect::<Result<_>>()?
-            } else {
+            // Phase 1: exact evaluations of the candidates whose own
+            // streams' coverage moved since they were last evaluated —
+            // independent per candidate, fanned out over the pool for
+            // wide rounds.
+            stale.clear();
+            stale.extend(
                 remaining
                     .iter()
-                    .map(|q| evaluate(q, &mut scratch))
-                    .collect::<Result<_>>()?
-            };
+                    .copied()
+                    .filter(|&q| !round.is_current(q, slot(&mut candidates[q]), &coverage)),
+            );
+            if workers > 1 && stale.len() >= 16 {
+                // Persistent pool + one scratch per participating worker
+                // for the whole round (not one per candidate).
+                let shared = &candidates;
+                paotr_par::par_map_init(&stale, self.threads, EvalScratch::new, |&q, scratch| {
+                    let mut cand = shared[q].lock().expect(UNPOISONED);
+                    round.evaluate(q, &mut cand, &coverage, scratch)
+                })
+                .into_iter()
+                .collect::<Result<()>>()?;
+            } else {
+                for &q in &stale {
+                    round.evaluate(q, slot(&mut candidates[q]), &coverage, &mut scratch)?;
+                }
+            }
 
             // Phase 2: deterministic scoring and pick. Benefit: coverage
             // this candidate adds, valued against the independent demand
             // of the queries still waiting (only the candidate's own
             // streams can contribute).
             let mut best: Option<(f64, usize)> = None;
-            for (idx, (&q, eval)) in remaining.iter().zip(&evals).enumerate() {
+            for (idx, &q) in remaining.iter().enumerate() {
+                let cand = slot(&mut candidates[q]);
                 let mut benefit = 0.0;
-                for &r in &remaining {
-                    if r == q {
-                        continue;
-                    }
-                    for (s, &iq) in models[q].touched_streams().zip(&eval.items) {
+                for &r in partners[q].iter().filter(|&&r| waiting[r]) {
+                    for (s, &iq) in models[q].touched_streams().zip(&cand.items) {
                         if iq <= 0.0 {
                             continue;
                         }
@@ -558,7 +626,7 @@ impl WorkloadPlanner for SharedGreedyPlanner {
                         benefit += weights[r] * (after - before) * catalog.cost(s);
                     }
                 }
-                let score = weights[q] * eval.cost - benefit;
+                let score = weights[q] * cand.cost - benefit;
                 // `remaining` ascends, so on ties the earlier query
                 // already holds `best` — strict improvement only.
                 let better = match &best {
@@ -572,21 +640,18 @@ impl WorkloadPlanner for SharedGreedyPlanner {
             let (_, idx) = best.expect("remaining is non-empty");
             let q = remaining[idx];
 
-            // Commit: cache fresh re-plans for later rounds, install the
-            // winner, advance coverage.
-            for (&r, eval) in remaining.iter().zip(&evals) {
-                if let Some(cache) = &eval.fresh_replan {
-                    replans[r] = Some(cache.clone());
-                }
-            }
-            let eval = &evals[idx];
-            for (s, &i) in models[q].touched_streams().zip(&eval.items) {
+            // Commit: install the winner, advance coverage.
+            let cand = slot(&mut candidates[q]);
+            for (s, &i) in models[q].touched_streams().zip(&cand.items) {
                 coverage[s.0] += i;
             }
-            plans[q] = eval.plan.clone();
-            schedules[q] = eval.sched.clone();
-            predicted[q] = eval.cost;
+            if let Some(replan) = &cand.replan {
+                plans[q] = Arc::new(round.replan_plan(q, replan, catalog_fp, &mut scratch));
+                schedules[q] = replan.sched.clone();
+            }
+            predicted[q] = cand.cost;
             order.push(q);
+            waiting[q] = false;
             remaining.remove(idx);
         }
 
@@ -801,8 +866,8 @@ mod tests {
     #[test]
     fn parallel_and_sequential_shared_greedy_agree() {
         // 20 queries: wide enough that the first rounds take the
-        // par_map fan-out path (the pool engages at >= 16 remaining
-        // candidates), then drain through the sequential tail.
+        // par_map fan-out path (the pool engages at >= 16 candidates to
+        // re-evaluate), then drain through the sequential tail.
         let (trees, catalog) = paotr_gen::workload::workload_instance(
             paotr_gen::workload::WorkloadConfig::with_overlap(20, 0.6),
             0,
@@ -812,7 +877,6 @@ mod tests {
         let seq = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
         let par = SharedGreedyPlanner {
             threads: ThreadCount::Fixed(4),
-            replan_bound: 0.0,
         }
         .plan(&w, &engine)
         .unwrap();
@@ -857,34 +921,65 @@ mod tests {
     }
 
     #[test]
-    fn replan_bound_trades_work_not_correctness() {
-        let w = overlapping_workload();
-        let engine = Engine::new();
-        let weights = w.weights();
-        let exact = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
-        let bounded = SharedGreedyPlanner {
-            threads: ThreadCount::Fixed(1),
-            replan_bound: 100.0, // effectively never re-plan twice
-        }
-        .plan(&w, &engine)
-        .unwrap();
-        // Bounded re-planning may keep staler coalescing schedules, but
-        // predicted costs stay exact and never beat-worse-than the
-        // independent baseline (candidate A is always available).
-        assert!(
-            bounded.aggregate_predicted(&weights) <= bounded.aggregate_independent(&weights) + 1e-9
+    fn reused_evaluations_keep_predictions_exact() {
+        // Candidate evaluations are reused across rounds while the
+        // coverage on a query's own streams is unchanged; the committed
+        // predictions must still be the exact shared-tick costs of the
+        // chosen order and schedules (checked against the literal
+        // evaluator), and some coalescing re-plans must have won.
+        let (trees, catalog) = paotr_gen::workload::workload_instance(
+            paotr_gen::workload::WorkloadConfig::with_overlap(24, 0.6),
+            1,
         );
-        // per-query predictions are real costs of the chosen schedules
-        for (q, (s, &c)) in bounded
-            .schedules
-            .iter()
-            .zip(&bounded.predicted_costs)
-            .enumerate()
-        {
-            DnfSchedule::new(s.order().to_vec(), &w.query(q).tree).unwrap();
-            assert!(c.is_finite());
+        let w = Workload::from_trees(trees, catalog).unwrap();
+        let engine = Engine::new();
+        let jp = SharedGreedyPlanner::sequential().plan(&w, &engine).unwrap();
+        let indep = IndependentPlanner.plan(&w, &engine).unwrap();
+        assert_ne!(jp.schedules, indep.schedules, "no re-plan won");
+        let exact = predict_shared(&w, &jp.order, &jp.schedules);
+        for (q, (&got, &want)) in jp.predicted_costs.iter().zip(&exact.per_query).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                "q{q}: predicted {got} vs exact {want}"
+            );
         }
-        let _ = exact;
+    }
+
+    #[test]
+    fn steering_replans_stay_out_of_the_plan_cache() {
+        let (trees, catalog) = paotr_gen::workload::workload_instance(
+            paotr_gen::workload::WorkloadConfig::with_overlap(24, 0.6),
+            1,
+        );
+        let w = Workload::from_trees(trees, catalog).unwrap();
+        let distinct: std::collections::BTreeSet<u64> = w
+            .queries()
+            .iter()
+            .map(|q| QueryRef::from(&q.tree).fingerprint())
+            .collect();
+        let engine = Engine::new();
+        let planner = SharedGreedyPlanner::sequential();
+        let jp = planner.plan(&w, &engine).unwrap();
+        assert!(
+            jp.plans
+                .iter()
+                .zip(w.queries())
+                .any(|(p, q)| p.body != engine.plan(&q.tree, w.catalog()).unwrap().body),
+            "no coalescing re-plan won, so nothing was steered"
+        );
+        // Only the real-catalog default plans were inserted (the lookups
+        // above all hit).
+        let cold = engine.cache_stats();
+        assert_eq!(cold.misses, distinct.len() as u64);
+        assert_eq!(cold.entries, distinct.len());
+        let again = planner.plan(&w, &engine).unwrap();
+        let warm = engine.cache_stats();
+        assert_eq!(
+            warm.misses, cold.misses,
+            "a second identical plan is all hits"
+        );
+        assert_eq!(warm.hits - cold.hits, w.len() as u64);
+        assert_eq!(again.plans, jp.plans);
     }
 
     #[test]

@@ -180,10 +180,19 @@ pub fn extract_schedule(
     tree: &DnfTree,
     query_name: &str,
 ) -> Result<DnfSchedule> {
-    plan.body.to_dnf_schedule(tree).ok_or_else(|| {
+    body_schedule(&plan.body, &plan.planner, tree, query_name)
+}
+
+/// [`extract_schedule`] for a bare plan body produced by `planner`.
+pub(crate) fn body_schedule(
+    body: &paotr_core::plan::PlanBody,
+    planner: &str,
+    tree: &DnfTree,
+    query_name: &str,
+) -> Result<DnfSchedule> {
+    body.to_dnf_schedule(tree).ok_or_else(|| {
         Error::InvalidWorkload(format!(
-            "planner `{}` produced a non-schedule plan for `{query_name}`",
-            plan.planner
+            "planner `{planner}` produced a non-schedule plan for `{query_name}`"
         ))
     })
 }

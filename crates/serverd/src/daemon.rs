@@ -277,9 +277,10 @@ pub struct Daemon {
     streams: Vec<SimStream>,
     stream_rngs: Vec<StdRng>,
     trace: TraceLog,
-    /// The persistent arrangement store (present iff `config.arrange`).
-    /// Lives here between ticks; `run_ticks` lends it to its scheduler.
-    arrangements: Option<ArrangementStore>,
+    /// The one tick scheduler, kept across requests so its scratch and
+    /// device memory are reused. It owns the persistent arrangement
+    /// store (present iff `config.arrange`).
+    scheduler: Scheduler,
     /// `(stream, window)` pairs each live session holds a reader
     /// refcount on, released when the session unregisters.
     acquired: BTreeMap<u64, Vec<(StreamId, u32)>>,
@@ -317,13 +318,29 @@ fn session_acquisitions(registry: &SessionRegistry, id: u64) -> Vec<(StreamId, u
         .collect()
 }
 
+/// A tick scheduler over `n_streams` streams with the daemon's fault
+/// policy, owning `store` when arrangements are on.
+fn daemon_scheduler(
+    n_streams: usize,
+    faults: &FaultSpec,
+    store: Option<ArrangementStore>,
+) -> Scheduler {
+    let mut scheduler = Scheduler::new(n_streams, MemoryPolicy::ClearEachQuery);
+    scheduler.set_fault_policy(faults.max_attempts.max(1), faults.stale_serve);
+    if let Some(store) = store {
+        scheduler.attach_arrangements(store);
+    }
+    scheduler
+}
+
 impl Daemon {
     /// An empty daemon under `config`.
     pub fn new(config: Config) -> Result<Daemon> {
         let registry =
             SessionRegistry::new(&config.planner, config.max_sessions, config.max_window)?;
-        let arrangements = config.arrange.map(ArrangementStore::new);
         let faults = FaultPlan::new(config.faults.unwrap_or_else(FaultSpec::none));
+        let scheduler =
+            daemon_scheduler(0, faults.spec(), config.arrange.map(ArrangementStore::new));
         Ok(Daemon {
             config,
             engine: Engine::new(),
@@ -335,7 +352,7 @@ impl Daemon {
             streams: Vec::new(),
             stream_rngs: Vec::new(),
             trace: TraceLog::default(),
-            arrangements,
+            scheduler,
             acquired: BTreeMap::new(),
             faults,
             last_verdicts: Vec::new(),
@@ -386,7 +403,7 @@ impl Daemon {
 
     /// The live arrangement store, when arrangements are on.
     pub fn arrangements(&self) -> Option<&ArrangementStore> {
-        self.arrangements.as_ref()
+        self.scheduler.arrangements()
     }
 
     /// `(session id, verdict, degraded)` of every evaluation in the
@@ -400,7 +417,7 @@ impl Daemon {
         let id = self
             .registry
             .register(source, weight, self.tick, &self.engine)?;
-        if let Some(store) = self.arrangements.as_mut() {
+        if let Some(store) = self.scheduler.arrangements_mut() {
             let pairs = session_acquisitions(&self.registry, id);
             for &(k, w) in &pairs {
                 store.acquire(k, w);
@@ -419,8 +436,8 @@ impl Daemon {
         self.registry.unregister(id)?;
         if let Some(pairs) = self.acquired.remove(&id) {
             let store = self
-                .arrangements
-                .as_mut()
+                .scheduler
+                .arrangements_mut()
                 .expect("acquisitions exist only with a store");
             for (k, w) in pairs {
                 store.release(k, w).expect("acquired pairs stay live");
@@ -445,44 +462,22 @@ impl Daemon {
         let start_tick = self.tick;
         self.ensure_streams();
         let mut energies = Vec::new();
-        let mut scheduler = Scheduler::new(self.streams.len(), MemoryPolicy::ClearEachQuery);
-        let spec = self.faults.spec();
-        scheduler.set_fault_policy(spec.max_attempts.max(1), spec.stale_serve);
-        // Lend the persistent store to this batch's scheduler; it must
-        // come back even when a tick fails, so failures are deferred.
-        if let Some(store) = self.arrangements.take() {
-            scheduler.attach_arrangements(store);
-        }
-        let mut failure = None;
         for _ in 0..n {
             if self.config.replan_after > 0
                 && self.churn_since_replan >= self.config.replan_after
                 && !self.registry.is_empty()
             {
-                if let Err(e) = self.replan() {
-                    failure = Some(e);
-                    break;
-                }
+                self.replan()?;
             }
-            match self.run_one_tick(&mut scheduler) {
-                Ok(energy) => energies.push(energy),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
+            energies.push(self.run_one_tick()?);
         }
-        self.arrangements = scheduler.take_arrangements();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(BatchReport {
-                start_tick,
-                energies,
-            }),
-        }
+        Ok(BatchReport {
+            start_tick,
+            energies,
+        })
     }
 
-    fn run_one_tick(&mut self, scheduler: &mut Scheduler) -> Result<f64> {
+    fn run_one_tick(&mut self) -> Result<f64> {
         let t = self.tick;
         let ids: Vec<u64> = self.registry.sessions().map(|s| s.id).collect();
         let n = ids.len();
@@ -549,7 +544,7 @@ impl Daemon {
             })
             .collect();
         let mut outcomes = Vec::with_capacity(pairs.len());
-        scheduler.run_tick(
+        self.scheduler.run_tick(
             &pairs,
             &sources,
             self.registry.shared(),
@@ -598,7 +593,7 @@ impl Daemon {
         self.telemetry.max_tick_energy = self.telemetry.max_tick_energy.max(tick_energy);
         self.telemetry.maintain_energy += meter.maintain_cost_total();
         self.telemetry.retry_energy += meter.retry_cost_total();
-        if let Some(stats) = scheduler.arrangements().map(|s| s.stats()) {
+        if let Some(stats) = self.scheduler.arrangements().map(|s| s.stats()) {
             self.telemetry.arrangements = stats.arrangements as u64;
             self.telemetry.arrange_hit_items = stats.hit_items;
         }
@@ -613,6 +608,7 @@ impl Daemon {
     /// Creates (and warms) streams for catalog entries that do not have
     /// one yet. Stream `k`'s data depends only on `(seed, k, tick)`.
     fn ensure_streams(&mut self) {
+        let before = self.streams.len();
         while self.streams.len() < self.registry.catalog().len() {
             let k = self.streams.len() as u64;
             let mut rng =
@@ -631,13 +627,20 @@ impl Daemon {
             self.streams.push(stream);
             self.stream_rngs.push(rng);
         }
+        if self.streams.len() > before {
+            // Device memory is sized by stream count and empty between
+            // ticks, so growing means a new scheduler that keeps the
+            // store.
+            let store = self.scheduler.take_arrangements();
+            self.scheduler = daemon_scheduler(self.streams.len(), self.faults.spec(), store);
+        }
     }
 
     /// The daemon's full persistent state as a [`Snapshot`]. Daemons
     /// without arrangements keep writing the version-1 document, so
     /// their snapshots stay readable by earlier builds.
     pub fn snapshot(&self) -> Snapshot {
-        let arrangements = self.arrangements.as_ref().map(|store| {
+        let arrangements = self.scheduler.arrangements().map(|store| {
             let stats = store.stats();
             crate::snapshot::ArrangeSnap {
                 clock: store.clock(),
@@ -784,7 +787,7 @@ impl Daemon {
             streams: Vec::new(),
             stream_rngs: Vec::new(),
             trace: TraceLog::default(),
-            arrangements,
+            scheduler: daemon_scheduler(0, faults.spec(), arrangements),
             acquired,
             faults,
             last_verdicts: Vec::new(),
@@ -801,7 +804,7 @@ impl Daemon {
     /// before any read can be served), so replay after a restore stays
     /// tick-for-tick identical to the uninterrupted run.
     fn refill_arrangements(&mut self) {
-        let Some(store) = self.arrangements.as_mut() else {
+        let Some(store) = self.scheduler.arrangements_mut() else {
             return;
         };
         let shells: Vec<(StreamId, u32, u64)> = store
@@ -881,7 +884,7 @@ impl Daemon {
                         ]),
                     ),
                 ];
-                if let Some(stats) = self.arrangements.as_ref().map(|s| s.stats()) {
+                if let Some(stats) = self.scheduler.arrangements().map(|s| s.stats()) {
                     fields.push((
                         "arrange",
                         Json::obj([

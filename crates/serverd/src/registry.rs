@@ -318,13 +318,12 @@ impl SessionRegistry {
     /// Adopts a re-calibrated probability vector for session `id` and
     /// re-plans that query alone through `engine`.
     pub fn recalibrate(&mut self, id: u64, probs: Vec<f64>, engine: &Engine) -> Result<()> {
-        let catalog = self.catalog.clone();
         let session = self
             .sessions
             .get_mut(&id)
             .ok_or_else(|| Error::Rejected(format!("unknown session id {id}")))?;
         let tree = session.sim.skeleton(&probs);
-        let schedule = plan_schedule(engine, &tree, &catalog, &session.name)?;
+        let schedule = plan_schedule(engine, &tree, &self.catalog, &session.name)?;
         session.tree = tree;
         session.schedule = Arc::new(schedule);
         session.drift.reset_to(probs);

@@ -386,9 +386,8 @@ impl Scheduler {
 
     /// Lends a store to this scheduler and switches it to
     /// [`MemoryPolicy::Arranged`]. Owners whose store outlives the
-    /// scheduler (the serving daemon builds a fresh scheduler per
-    /// batch) attach before a batch and [`Scheduler::take_arrangements`]
-    /// after.
+    /// scheduler (the serving daemon replaces its scheduler when its
+    /// catalog grows) move it over with [`Scheduler::take_arrangements`].
     pub fn attach_arrangements(&mut self, store: ArrangementStore) {
         self.policy = MemoryPolicy::Arranged;
         self.arrangements = Some(store);
